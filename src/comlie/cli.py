@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from . import coinvariants, multisym, poincare, repa, toriposet
+from . import coinvariants, poincare, repa, toriposet
 from .poincare import GroupSpec, canonical_family
 from .qseries import QPoly, TruncatedSeries
 from .reports import CheckReport
@@ -203,6 +203,10 @@ def _verify_reports(
             poly_deg = (
                 maxdeg // 2 if maxdeg is not None else _default_poly_degree(group)
             )
+            # imported here, so commands that skip the basis and generation
+            # suites do not load the linear-algebra module at start-up
+            from . import multisym
+
             basis = multisym.verify_free_basis(group.weyl_kind, group.n, poly_deg)
             degrees = tuple(2 * d for d in basis.degrees)
             reports.append(
@@ -222,6 +226,8 @@ def _verify_reports(
                     "--group/--rank required for the generation suite"
                 )
             poly_deg = maxdeg // 2 if maxdeg is not None else 6
+            from . import multisym
+
             reports.append(
                 multisym.verify_power_sum_generation(
                     group.weyl_kind, group.n, poly_deg
@@ -267,11 +273,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         group = GroupSpec(family, args.rank)
     try:
         reports = _verify_reports(args.suite, group, args.maxdeg)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
     except GroupSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except ValueError as exc:
+        return _fail_usage(str(exc))
 
     if args.format == "json":
         print(

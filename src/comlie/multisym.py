@@ -16,9 +16,11 @@ to cohomological degree happens in callers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .qseries import QPoly, product_series
 from .repa import partitions_max_parts
@@ -41,32 +43,74 @@ ExpKey = tuple[tuple[int, ...], tuple[int, ...]]
 Pair = tuple[int, int]
 OrbitRep = tuple[Pair, ...]
 GradedDims = dict[int, int]
+Coeff = int | Fraction
+
+#: Primes just below 2**61 for the modular rank in ``exact_rank``; their
+#: product, about 2**976, caps the minors the rank certificate can rule out.
+_PRIMES = tuple((1 << 61) - k for k in (
+    1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579, 675, 759, 799, 819,
+))
+
+
+def _coeff(value: Coeff) -> Coeff:
+    """An exact coefficient: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _numerators(terms: dict) -> tuple[list[tuple[object, int]], int]:
+    """The (key, coefficient) items as integer numerators over the least
+    common denominator of the coefficients, and that denominator."""
+    dens = {c.denominator for c in terms.values() if type(c) is Fraction}
+    if not dens:
+        return list(terms.items()), 1
+    den = math.lcm(*dens)
+    return [
+        (key, c.numerator * (den // c.denominator) if type(c) is Fraction
+         else c * den)
+        for key, c in terms.items()
+    ], den
+
+
+def _wrap_terms(n: int, terms: dict[ExpKey, Coeff]) -> "MultiPoly":
+    """A polynomial on a term dict built by an operation; integral
+    Fractions become ints."""
+    for key, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[key] = c.numerator
+    result = MultiPoly(n)
+    result.terms = terms
+    return result
 
 
 class MultiPoly:
-    """Sparse polynomial in x_1..x_n, y_1..y_n over exact rationals.
+    """Sparse polynomial in x_1..x_n, y_1..y_n with integer or rational
+    coefficients.
 
-    Terms map ((a_1..a_n), (b_1..b_n)) to a nonzero Fraction.  Instances are
-    treated as immutable; every operation returns a fresh polynomial.
+    Terms map ((a_1..a_n), (b_1..b_n)) to a nonzero coefficient: an int when
+    it is integral, a Fraction otherwise.  Instances are treated as
+    immutable; every operation returns a fresh polynomial.
     """
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: dict[ExpKey, Fraction | int] | None = None):
+    def __init__(self, n: int, terms: dict[ExpKey, Coeff] | None = None):
         if n < 1:
             raise ValueError("need at least one variable pair")
         self.n = n
-        data: dict[ExpKey, Fraction] = {}
+        data: dict[ExpKey, Coeff] = {}
         if terms:
             for (xexp, yexp), coeff in terms.items():
                 if len(xexp) != n or len(yexp) != n:
                     raise ValueError("exponent vector length mismatch")
                 if any(e < 0 for e in xexp) or any(e < 0 for e in yexp):
                     raise ValueError("negative exponent")
-                c = Fraction(coeff)
+                c = _coeff(coeff)
                 if c:
                     key = (tuple(xexp), tuple(yexp))
-                    c = data.get(key, Fraction(0)) + c
+                    c = _coeff(data.get(key, 0) + c)
                     if c:
                         data[key] = c
                     else:
@@ -87,15 +131,15 @@ class MultiPoly:
         n: int,
         xexp: tuple[int, ...],
         yexp: tuple[int, ...],
-        coeff: Fraction | int = 1,
+        coeff: Coeff = 1,
     ) -> "MultiPoly":
         return cls(n, {(tuple(xexp), tuple(yexp)): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, xexp: tuple[int, ...], yexp: tuple[int, ...]) -> Fraction:
-        return self.terms.get((tuple(xexp), tuple(yexp)), Fraction(0))
+    def coefficient(self, xexp: tuple[int, ...], yexp: tuple[int, ...]) -> Coeff:
+        return self.terms.get((tuple(xexp), tuple(yexp)), 0)
 
     def total_degree(self) -> int:
         """Largest total degree of a term; -1 for the zero polynomial."""
@@ -113,14 +157,12 @@ class MultiPoly:
             raise ValueError("size mismatch")
         out = dict(self.terms)
         for key, c in other.terms.items():
-            v = out.get(key, Fraction(0)) + c
+            v = out.get(key, 0) + c
             if v:
                 out[key] = v
             else:
                 out.pop(key, None)
-        result = MultiPoly(self.n)
-        result.terms = out
-        return result
+        return _wrap_terms(self.n, out)
 
     def __neg__(self) -> "MultiPoly":
         result = MultiPoly(self.n)
@@ -130,30 +172,32 @@ class MultiPoly:
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
-    def __mul__(self, other: "MultiPoly | Fraction | int") -> "MultiPoly":
+    def __mul__(self, other: "MultiPoly | Coeff") -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            result = MultiPoly(self.n)
-            if c:
-                result.terms = {key: v * c for key, v in self.terms.items()}
-            return result
+            c = _coeff(other)
+            if not c:
+                return MultiPoly(self.n)
+            return _wrap_terms(
+                self.n, {key: v * c for key, v in self.terms.items()})
         if self.n != other.n:
             raise ValueError("size mismatch")
-        out: dict[ExpKey, Fraction] = {}
-        for (x1, y1), c1 in self.terms.items():
-            for (x2, y2), c2 in other.terms.items():
-                key = (
-                    tuple(a + b for a, b in zip(x1, x2)),
-                    tuple(a + b for a, b in zip(y1, y2)),
-                )
-                v = out.get(key, Fraction(0)) + c1 * c2
+        # integer arithmetic in the pair loop; one division per output term
+        left, den_left = _numerators(self.terms)
+        right, den_right = _numerators(other.terms)
+        out: dict[ExpKey, Coeff] = {}
+        get = out.get
+        for (x1, y1), c1 in left:
+            for (x2, y2), c2 in right:
+                key = (tuple(map(add, x1, x2)), tuple(map(add, y1, y2)))
+                v = get(key, 0) + c1 * c2
                 if v:
                     out[key] = v
                 else:
                     del out[key]
-        result = MultiPoly(self.n)
-        result.terms = out
-        return result
+        den = den_left * den_right
+        if den != 1:
+            out = {key: Fraction(v, den) for key, v in out.items()}
+        return _wrap_terms(self.n, out)
 
     __rmul__ = __mul__
 
@@ -180,7 +224,7 @@ def act(w: WeylElement, poly: MultiPoly) -> MultiPoly:
         raise ValueError("size mismatch between element and polynomial")
     n = poly.n
     word = w.word
-    out: dict[ExpKey, Fraction] = {}
+    out: dict[ExpKey, Coeff] = {}
     for (xexp, yexp), coeff in poly.terms.items():
         new_x = [0] * n
         new_y = [0] * n
@@ -193,7 +237,7 @@ def act(w: WeylElement, poly: MultiPoly) -> MultiPoly:
             if v < 0 and (xexp[i] + yexp[i]) % 2:
                 sign = -sign
         key = (tuple(new_x), tuple(new_y))
-        v2 = out.get(key, Fraction(0)) + sign * coeff
+        v2 = out.get(key, 0) + sign * coeff
         if v2:
             out[key] = v2
         else:
@@ -215,7 +259,7 @@ def power_sum(n: int, a: int, b: int) -> MultiPoly:
     """The invariant x_1^a y_1^b + ... + x_n^a y_n^b."""
     if a < 0 or b < 0 or a + b < 1:
         raise ValueError("power sum needs a, b >= 0 with a + b >= 1")
-    terms: dict[ExpKey, Fraction | int] = {}
+    terms: dict[ExpKey, Coeff] = {}
     for i in range(n):
         xexp = [0] * n
         yexp = [0] * n
@@ -301,7 +345,7 @@ def invariant_graded_dim(kind: str, n: int, degree: int) -> int:
 @lru_cache(maxsize=None)
 def orbit_sum(n: int, rep: OrbitRep) -> MultiPoly:
     """Sum of the distinct monomials in the orbit of the representative."""
-    terms: dict[ExpKey, Fraction | int] = {}
+    terms: dict[ExpKey, Coeff] = {}
     for arrangement in set(itertools.permutations(rep)):
         xexp = tuple(p[0] for p in arrangement)
         yexp = tuple(p[1] for p in arrangement)
@@ -309,21 +353,100 @@ def orbit_sum(n: int, rep: OrbitRep) -> MultiPoly:
     return MultiPoly(n, terms)
 
 
+@lru_cache(maxsize=64)
+def _rep_keys(reps: tuple[OrbitRep, ...]) -> tuple[ExpKey, ...]:
+    """The term key of each representative monomial."""
+    return tuple(
+        (tuple(a for a, _ in rep), tuple(b for _, b in rep)) for rep in reps
+    )
+
+
 def invariant_coordinates(
     poly: MultiPoly, reps: tuple[OrbitRep, ...]
-) -> list[Fraction]:
+) -> list[Coeff]:
     """Coordinates of an invariant polynomial in the orbit-sum basis: the
     coefficient of each representative monomial."""
+    return list(map(poly.terms.get, _rep_keys(reps), itertools.repeat(0)))
+
+
+def _integer_rows(rows: list[list[Coeff]]) -> list[dict[int, int]]:
+    """The nonzero rows as sparse integer rows {column: entry}, each scaled
+    by the lcm of its denominators (which leaves the rank unchanged)."""
     out = []
-    for rep in reps:
-        xexp = tuple(p[0] for p in rep)
-        yexp = tuple(p[1] for p in rep)
-        out.append(poly.coefficient(xexp, yexp))
+    for row in rows:
+        sparse = {j: row[j] for j in itertools.compress(range(len(row)), row)}
+        if sparse:
+            out.append(dict(_numerators(sparse)[0]))
     return out
 
 
-def exact_rank(rows: list[list[Fraction]]) -> int:
-    """Rank over Q by Gaussian elimination with exact arithmetic."""
+def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
+    """Rank of sparse integer rows modulo the prime ``p``.
+
+    Each row is reduced by the stored pivot rows, always at its leftmost
+    entry, until it vanishes or starts in a new pivot column.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        work = {j: r for j, v in row.items() if (r := v % p)}
+        while work:
+            col = min(work)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(work[col], -1, p)
+                pivots[col] = {j: v * inv % p for j, v in work.items()}
+                break
+            f = work[col]
+            for j, v in pivot.items():
+                x = (work.get(j, 0) - f * v) % p
+                if x:
+                    work[j] = x
+                else:
+                    del work[j]
+    return len(pivots)
+
+
+def _hadamard_square(rows: list[dict[int, int]], k: int) -> int:
+    """Square of the Hadamard bound on every k-minor: the product of the k
+    largest squared row norms."""
+    norms = sorted((sum(v * v for v in row.values()) for row in rows),
+                   reverse=True)
+    return math.prod(norms[:k])
+
+
+def exact_rank(rows: list[list[Coeff]]) -> int:
+    """Rank over Q of a matrix with int or Fraction entries, exactly.
+
+    The rows are scaled to integers and eliminated modulo the primes of
+    ``_PRIMES``.  Reduction mod p never raises the rank, so a rank mod p
+    equal to min(rows, columns) is the rank over Q.  A smaller largest rank
+    r is exact once the product of the primes tried exceeds the Hadamard
+    bound on the (r+1)-minors: a nonzero such minor would be divisible by
+    every one of those primes.  If the primes run out first, the answer
+    comes from ``fraction_rank``.
+    """
+    int_rows = _integer_rows(rows)
+    if not int_rows:
+        return 0
+    full = min(len(int_rows), len(rows[0]))
+    rank = -1
+    modulus = 1
+    for p in _PRIMES:
+        r = _rank_mod(int_rows, p)
+        if r == full:
+            return r
+        if r > rank:
+            rank = r
+            bound = _hadamard_square(int_rows, r + 1)
+        modulus *= p
+        if modulus * modulus > bound:
+            return rank
+    return fraction_rank(rows)
+
+
+def fraction_rank(rows: list[list[Coeff]]) -> int:
+    """Rank over Q by Gaussian elimination over Fraction: the fallback of
+    ``exact_rank`` and its test oracle."""
     pivots: list[tuple[int, list[Fraction]]] = []
     for row in rows:
         work = list(row)
@@ -333,7 +456,7 @@ def exact_rank(rows: list[list[Fraction]]) -> int:
                 work = [a - c * b for a, b in zip(work, pivot_row)]
         for col, value in enumerate(work):
             if value:
-                work = [a / value for a in work]
+                work = [Fraction(a, value) for a in work]
                 pivots.append((col, work))
                 break
     return len(pivots)
@@ -550,7 +673,7 @@ def verify_power_sum_generation(kind: str, n: int, max_degree: int) -> CheckRepo
 
     for d in range(max_degree + 1):
         reps_d = monomial_orbit_reps(kind, n, d)
-        rows: list[list[Fraction]] = []
+        rows: list[list[Coeff]] = []
 
         def rec(idx: int, remaining: int, acc: MultiPoly) -> None:
             if remaining == 0:

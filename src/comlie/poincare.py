@@ -44,6 +44,8 @@ class GroupSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", canonical_family(self.family))
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise ValueError(f"rank must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"rank must be >= 1, got {self.n}")
 

@@ -278,10 +278,6 @@ class RationalSeries:
         return f"RationalSeries({self.to_str()})"
 
 
-def expand(series: RationalSeries, trunc: int) -> TruncatedSeries:
-    return series.expand(trunc)
-
-
 def product_series(
     weights: Mapping[int, int], trunc: int
 ) -> TruncatedSeries:

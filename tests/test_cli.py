@@ -157,6 +157,20 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and "symmetric" in err
 
 
+@pytest.mark.parametrize("suite, family, rank", [
+    ("basis", "u", 5),
+    ("fakedeg", "u", 10),
+    ("generation", "sp", 4),
+])
+def test_verify_cap_exceeded_exit_code(capsys, suite, family, rank):
+    code, out, err = run(
+        capsys,
+        ["verify", "--suite", suite, "--group", family, "--rank", str(rank)],
+    )
+    assert code == 3
+    assert out == "" and err.startswith("error:")
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     failing = CheckReport(name="forced", passed=False, detail="forced failure")
     monkeypatch.setattr(

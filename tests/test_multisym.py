@@ -1,7 +1,10 @@
+import contextlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from comlie import multisym
 from comlie.multisym import (
     IdealSpec,
     MultiPoly,
@@ -12,6 +15,7 @@ from comlie.multisym import (
     descent_monomial,
     ecom_ideal,
     exact_rank,
+    fraction_rank,
     invariant_coordinates,
     invariant_graded_dim,
     monomial_orbit_reps,
@@ -153,11 +157,149 @@ def test_orbit_reps_and_coordinates_are_consistent():
 def test_exact_rank():
     one = Fraction(1)
     zero = Fraction(0)
-    rows = [[one, zero], [zero, one], [one, one]]
-    assert exact_rank(rows) == 2
-    assert exact_rank([]) == 0
-    assert exact_rank([[zero, zero]]) == 0
-    assert exact_rank([[Fraction(2, 3), one]]) == 1
+    for rank in (exact_rank, fraction_rank):
+        rows = [[one, zero], [zero, one], [one, one]]
+        assert rank(rows) == 2
+        assert rank([]) == 0
+        assert rank([[zero, zero]]) == 0
+        assert rank([[Fraction(2, 3), one]]) == 1
+        assert rank([[1, 2], [2, 4]]) == 1
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the first 12 prime bases (exact for
+    n < 3.3 * 10**24)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_rank_primes_are_distinct_61_bit_primes():
+    assert [_is_prime(n) for n in (1, 2, 91, 561, 2**61 - 1)] == [
+        False, True, False, False, True]
+    primes = multisym._PRIMES
+    assert len(set(primes)) == len(primes) > 1
+    for p in primes:
+        assert p.bit_length() == 61 and _is_prime(p), p
+
+
+@contextlib.contextmanager
+def _spy(name):
+    """Record the arguments of every call to a multisym function."""
+    calls = []
+    original = getattr(multisym, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    setattr(multisym, name, wrapper)
+    try:
+        yield calls
+    finally:
+        setattr(multisym, name, original)
+
+
+ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+)
+
+
+def _matrices(entries, max_rows=7, max_cols=7):
+    return st.integers(1, max_cols).flatmap(
+        lambda c: st.lists(
+            st.lists(entries, min_size=c, max_size=c), max_size=max_rows))
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+@st.composite
+def _deficient(draw, entries=ENTRIES, max_dim=7):
+    """A product of random m x k and k x c factors with k below m and c."""
+    k = draw(st.integers(1, max_dim - 1))
+    m = draw(st.integers(k + 1, max_dim))
+    c = draw(st.integers(k + 1, max_dim))
+    a = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                      min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+                      min_size=k, max_size=k))
+    return _product(a, b)
+
+
+@given(_matrices(ENTRIES))
+def test_exact_rank_matches_fraction_rank(rows):
+    assert exact_rank(rows) == fraction_rank(rows)
+
+
+@given(_deficient())
+def test_exact_rank_matches_fraction_rank_when_deficient(rows):
+    rank = exact_rank(rows)
+    assert rank == fraction_rank(rows)
+    assert rank < min(len(rows), len(rows[0]))
+
+
+@given(_matrices(st.integers(-9, 9), max_rows=5, max_cols=5),
+       st.integers(1, 1000))
+def test_multiples_of_the_first_prime_use_more_primes(rows, k):
+    # every entry is a multiple of the first prime, so its rank mod that
+    # prime is 0 and only the next primes can show the rank
+    assume(any(any(row) for row in rows))
+    rows = [[k * multisym._PRIMES[0] * v for v in row] for row in rows]
+    with _spy("_rank_mod") as calls:
+        rank = exact_rank(rows)
+    assert rank == fraction_rank(rows) > 0
+    assert [c[1] for c in calls[:2]] == list(multisym._PRIMES[:2])
+
+
+@given(_deficient(st.integers(2**400, 2**401), max_dim=4))
+def test_bound_beyond_the_primes_falls_back_to_fractions(rows):
+    with _spy("fraction_rank") as calls:
+        rank = exact_rank(rows)
+    assert len(calls) == 1
+    assert rank == fraction_rank(rows)
+
+
+def test_quotient_ranks_are_certified_without_fractions():
+    with _spy("fraction_rank") as calls:
+        dims = quotient_graded_dims("sym", 3, ecom_ideal("u", 3), 9)
+    assert calls == []
+    assert dims == {0: 1, 1: 0, 2: 1, 3: 2, 4: 1, 5: 0, 6: 1, 7: 0, 8: 0, 9: 0}
+
+
+def test_integral_coefficients_stay_ints():
+    p = power_sum(3, 1, 0) * power_sum(3, 0, 2) - power_sum(3, 1, 2)
+    assert p.terms and all(type(c) is int for c in p.terms.values())
+    half = p * Fraction(1, 2)
+    assert all(type(c) is Fraction for c in half.terms.values())
+    assert (half * 2) == p
+    assert all(type(c) is int for c in (half * 2).terms.values())
+    avg = average("sym", power_sum(3, 1, 1))
+    assert avg == power_sum(3, 1, 1)
+    assert all(type(c) is int for c in avg.terms.values())
+    assert MultiPoly(2, {((1, 0), (0, 0)): Fraction(4, 2)}).terms == {
+        ((1, 0), (0, 0)): 2}
 
 
 def test_ideal_spec_validation():

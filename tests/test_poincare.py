@@ -37,8 +37,9 @@ def test_group_spec_derived_data():
     assert sp2.top_ecom_degree == 16
     with pytest.raises(ValueError):
         GroupSpec("so", 3)
-    with pytest.raises(ValueError):
-        GroupSpec("u", 0)
+    for rank in (0, True, False, 2.0, "2", None):
+        with pytest.raises(ValueError, match="rank"):
+            GroupSpec("u", rank)
 
 
 def test_ecom_numerator_examples():
