@@ -8,6 +8,7 @@ exceeded (retry with --oracle).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,7 +29,6 @@ EXIT_CAP = 3
 CACHE_ENV_VAR = "COMLIE_CACHE_DIR"
 
 QUANTITIES = ("ecom", "bcom", "bg", "stable")
-SUITES = ("oracle", "product", "basis", "generation", "fakedeg", "stable", "all")
 
 #: Schema of the JSON emitted by the series command (and of cache files).
 SERIES_SCHEMA = {
@@ -51,7 +51,7 @@ SERIES_SCHEMA = {
 }
 
 
-def _dumps(payload: dict) -> str:
+def _dumps(payload: object) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
@@ -60,12 +60,21 @@ def _fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
+def _group_spec(group: str, rank: int | None) -> GroupSpec:
+    """The group named by --group/--rank; ValueError carries the usage error."""
+    family = canonical_family(group)
+    if rank is None:
+        raise ValueError("--rank is required with --group")
+    if rank < 1:
+        raise ValueError("--rank must be >= 1")
+    return GroupSpec(family, rank)
+
+
 def _compute_series(
-    what: str, family: str, rank: int | None, trunc: int, oracle: bool
+    what: str, family: str, group: GroupSpec | None, trunc: int, oracle: bool
 ) -> TruncatedSeries:
     if what == "stable":
         return poincare.stable_bcom(family, trunc)
-    group = GroupSpec(family, rank)
     if what == "bg":
         return poincare.bg_series(group).expand(trunc)
     if what == "ecom":
@@ -93,21 +102,39 @@ def _render_series(payload: dict, fmt: str) -> str:
     return f"{header}\n{poly.to_str('t')}"
 
 
+def _read_cache(path: Path) -> dict | None:
+    """The cached payload, or None when the file is missing, unreadable or
+    not in canonical form; such a file is recomputed and overwritten."""
+    try:
+        text = path.read_text()
+        payload = json.loads(text)
+    except (OSError, ValueError):
+        return None
+    return payload if _dumps(payload) == text else None
+
+
+def _write_cache(path: Path, text: str) -> None:
+    """Write through a temporary file renamed over ``path``, so readers and
+    concurrent writers never see a partial file.  A cache that cannot be
+    written only costs a warning: the result is printed anyway."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        print(f"warning: cache not written: {exc}", file=sys.stderr)
+
+
 def cmd_series(args: argparse.Namespace) -> int:
     try:
         family = canonical_family(args.group)
+        group = None if args.what == "stable" else _group_spec(args.group, args.rank)
     except ValueError as exc:
         return _fail_usage(str(exc))
     if args.maxdeg < 0:
         return _fail_usage("--maxdeg must be >= 0")
-    rank = args.rank
-    if args.what != "stable":
-        if rank is None:
-            return _fail_usage(f"--rank is required for --what {args.what}")
-        if rank < 1:
-            return _fail_usage("--rank must be >= 1")
-    else:
-        rank = None
+    rank = group.n if group is not None else None
 
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
     cache_path = None
@@ -119,15 +146,11 @@ def cmd_series(args: argparse.Namespace) -> int:
         )
         cache_path = Path(cache_dir) / name
 
-    if cache_path is not None and cache_path.exists():
-        text = cache_path.read_text()
-        payload = json.loads(text)
-        if _dumps(payload) != text:
-            return _fail_usage(f"corrupt cache file {cache_path}")
-    else:
+    payload = _read_cache(cache_path) if cache_path is not None else None
+    if payload is None:
         try:
             series = _compute_series(
-                args.what, family, rank, args.maxdeg, args.oracle
+                args.what, family, group, args.maxdeg, args.oracle
             )
         except GroupSizeError as exc:
             print(
@@ -143,8 +166,7 @@ def cmd_series(args: argparse.Namespace) -> int:
             "series": series.to_json("t"),
         }
         if cache_path is not None:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            cache_path.write_text(_dumps(payload))
+            _write_cache(cache_path, _dumps(payload))
 
     print(_render_series(payload, args.format))
     return EXIT_OK
@@ -153,126 +175,93 @@ def cmd_series(args: argparse.Namespace) -> int:
 def _series_equal_report(
     name: str, lhs: TruncatedSeries, rhs: TruncatedSeries
 ) -> CheckReport:
-    mismatch = next(
-        (k for k in range(lhs.trunc + 1) if lhs.coeffs[k] != rhs.coeffs[k]), None
-    )
+    mismatch = lhs.first_mismatch(rhs)
     return CheckReport(name=name, passed=mismatch is None,
                        first_mismatch=mismatch)
 
 
-def _default_poly_degree(group: GroupSpec) -> int:
-    return group.top_ecom_degree // 2
+def _oracle_suite(group: GroupSpec, maxdeg: int | None) -> list[CheckReport]:
+    trunc = maxdeg if maxdeg is not None else 40
+    return [
+        _series_equal_report(f"oracle fiber series {group.label}",
+                             poincare.ecom_numerator(group).truncated(trunc),
+                             coinvariants.oracle_ecom(group, trunc)),
+        _series_equal_report(f"oracle base series {group.label}",
+                             poincare.bcom_series(group).expand(trunc),
+                             coinvariants.oracle_bcom(group, trunc)),
+    ]
 
 
-def _verify_reports(
-    suite: str, group: GroupSpec | None, maxdeg: int | None
-) -> list[CheckReport]:
-    reports: list[CheckReport] = []
-    suites = (
-        ["oracle", "product", "basis", "generation", "fakedeg", "stable"]
-        if suite == "all"
-        else [suite]
-    )
-    for item in suites:
-        if item == "oracle":
-            if group is None:
-                raise ValueError("--group/--rank required for the oracle suite")
-            trunc = maxdeg if maxdeg is not None else 40
-            reports.append(
-                _series_equal_report(
-                    f"oracle fiber series {group.label}",
-                    poincare.ecom_numerator(group).truncated(trunc),
-                    coinvariants.oracle_ecom(group, trunc),
-                )
-            )
-            reports.append(
-                _series_equal_report(
-                    f"oracle base series {group.label}",
-                    poincare.bcom_series(group).expand(trunc),
-                    coinvariants.oracle_bcom(group, trunc),
-                )
-            )
-        elif item == "product":
-            if group is None:
-                raise ValueError("--group/--rank required for the product suite")
-            trunc = maxdeg if maxdeg is not None else 40
-            reports.append(poincare.verify_product_relation(group, trunc))
-        elif item == "basis":
-            if group is None:
-                raise ValueError("--group/--rank required for the basis suite")
-            poly_deg = (
-                maxdeg // 2 if maxdeg is not None else _default_poly_degree(group)
-            )
-            # imported here, so commands that skip the basis and generation
-            # suites do not load the linear-algebra module at start-up
-            from . import multisym
+def _product_suite(group: GroupSpec, maxdeg: int | None) -> list[CheckReport]:
+    trunc = maxdeg if maxdeg is not None else 40
+    return [poincare.verify_product_relation(group, trunc)]
 
-            basis = multisym.verify_free_basis(group.weyl_kind, group.n, poly_deg)
-            degrees = tuple(2 * d for d in basis.degrees)
-            reports.append(
-                CheckReport(
-                    name=f"descent basis {group.label}",
-                    passed=basis.passed,
-                    detail=(
-                        f"{basis.basis_size} elements, degrees {degrees}"
-                        if basis.passed
-                        else basis.detail
-                    ),
-                )
-            )
-        elif item == "generation":
-            if group is None:
-                raise ValueError(
-                    "--group/--rank required for the generation suite"
-                )
-            poly_deg = maxdeg // 2 if maxdeg is not None else 6
-            from . import multisym
 
-            reports.append(
-                multisym.verify_power_sum_generation(
-                    group.weyl_kind, group.n, poly_deg
-                )
-            )
-        elif item == "fakedeg":
-            if group is None:
-                raise ValueError("--group/--rank required for the fakedeg suite")
-            if group.weyl_kind != "sym":
-                if suite == "all":
-                    continue
-                raise ValueError(
-                    "fake degrees are implemented for the symmetric Weyl "
-                    "groups (families u, su) only"
-                )
-            reports.append(repa.verify_fake_degree_identities(group.n))
-        elif item == "stable":
-            if group is None:
-                raise ValueError("--group required for the stable suite")
-            if group.family == "Sp":
-                ranks, trunc = [4, 5], 12
-            else:
-                ranks, trunc = [8, 9], 16
-            if maxdeg is not None:
-                trunc = maxdeg
-            reports.append(
-                poincare.verify_stabilization(group.family, ranks, trunc)
-            )
-    return reports
+def _basis_suite(group: GroupSpec, maxdeg: int | None) -> list[CheckReport]:
+    # imported here, so commands that skip the basis and generation suites
+    # do not load the linear-algebra module at start-up
+    from . import multisym
+
+    if maxdeg is None:
+        poly_deg = min(group.top_ecom_degree // 2, multisym.MAX_QUOTIENT_DEGREE)
+    else:
+        poly_deg = maxdeg // 2
+    basis = multisym.verify_free_basis(group.weyl_kind, group.n, poly_deg)
+    degrees = tuple(2 * d for d in basis.degrees)
+    detail = (f"{basis.basis_size} elements, degrees {degrees}"
+              if basis.passed else basis.detail)
+    return [CheckReport(name=f"descent basis {group.label}",
+                        passed=basis.passed, detail=detail)]
+
+
+def _generation_suite(group: GroupSpec, maxdeg: int | None) -> list[CheckReport]:
+    from . import multisym
+
+    poly_deg = maxdeg // 2 if maxdeg is not None else 6
+    return [multisym.verify_power_sum_generation(group.weyl_kind, group.n, poly_deg)]
+
+
+def _fakedeg_suite(group: GroupSpec, maxdeg: int | None) -> list[CheckReport]:
+    return [repa.verify_fake_degree_identities(group.n)]
+
+
+def _stable_suite(group: GroupSpec, maxdeg: int | None) -> list[CheckReport]:
+    ranks, trunc = ([4, 5], 12) if group.family == "Sp" else ([8, 9], 16)
+    trunc = maxdeg if maxdeg is not None else trunc
+    return [poincare.verify_stabilization(group.family, ranks, trunc)]
+
+
+#: Verification suites, in the order ``--suite all`` runs them.  Each takes
+#: the group and the --maxdeg value (None when not given).
+VERIFY_SUITES = {
+    "oracle": _oracle_suite,
+    "product": _product_suite,
+    "basis": _basis_suite,
+    "generation": _generation_suite,
+    "fakedeg": _fakedeg_suite,
+    "stable": _stable_suite,
+}
+SUITES = (*VERIFY_SUITES, "all")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    group = None
-    if args.group is not None:
-        try:
-            family = canonical_family(args.group)
-        except ValueError as exc:
-            return _fail_usage(str(exc))
-        if args.rank is None:
-            return _fail_usage("--rank is required with --group")
-        if args.rank < 1:
-            return _fail_usage("--rank must be >= 1")
-        group = GroupSpec(family, args.rank)
+    if args.group is None:
+        return _fail_usage(
+            f"--group and --rank are required for --suite {args.suite}"
+        )
     try:
-        reports = _verify_reports(args.suite, group, args.maxdeg)
+        group = _group_spec(args.group, args.rank)
+    except ValueError as exc:
+        return _fail_usage(str(exc))
+    names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
+    if group.weyl_kind != "sym" and "fakedeg" in names:
+        if args.suite == "fakedeg":
+            return _fail_usage("fake degrees are implemented for the symmetric "
+                               "Weyl groups (families u, su) only")
+        names.remove("fakedeg")
+    try:
+        reports = [r for name in names
+                   for r in VERIFY_SUITES[name](group, args.maxdeg)]
     except GroupSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -280,20 +269,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail_usage(str(exc))
 
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "name": r.name,
-                        "passed": r.passed,
-                        "detail": r.detail,
-                        "first_mismatch": r.first_mismatch,
-                    }
-                    for r in reports
-                ],
-                sort_keys=True,
-            )
-        )
+        print(_dumps([dataclasses.asdict(r) for r in reports]))
     else:
         for r in reports:
             print(r.summary())
@@ -303,33 +279,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_poset(args: argparse.Namespace) -> int:
     if args.rank is None or args.rank < 1:
         return _fail_usage("--rank must be >= 1")
-    comps = toriposet.components(args.rank)
+    header = ("shape", "flag_poincare", "real_dimension", "stabilizer_order")
+    records = [
+        (c.shape, c.flag_poincare.to_str("q"), c.real_dimension, c.stabilizer_order)
+        for c in toriposet.components(args.rank)
+    ]
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "shape": list(c.shape),
-                        "flag_poincare": c.flag_poincare.to_str("q"),
-                        "real_dimension": c.real_dimension,
-                        "stabilizer_order": c.stabilizer_order,
-                    }
-                    for c in comps
-                ],
-                sort_keys=True,
-            )
-        )
+        print(_dumps([dict(zip(header, record)) for record in records]))
         return EXIT_OK
     rows = [
-        (
-            "+".join(map(str, c.shape)),
-            c.flag_poincare.to_str("q"),
-            str(c.real_dimension),
-            str(c.stabilizer_order),
-        )
-        for c in comps
+        ("+".join(map(str, shape)), flag, str(dim), str(order))
+        for shape, flag, dim, order in records
     ]
-    header = ("shape", "flag_poincare", "real_dimension", "stabilizer_order")
     if args.format == "csv":
         print(",".join(header))
         for row in rows:
@@ -351,25 +312,14 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         return _fail_usage(str(exc))
     if args.maxdeg < 0:
         return _fail_usage("--maxdeg must be >= 0")
-    catalog = poincare.generator_catalog(family, args.maxdeg)
+    header = ("a", "b", "degree")
+    rows = [(a, b, 2 * (a + b))
+            for a, b in poincare.generator_catalog(family, args.maxdeg).pairs]
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {"a": a, "b": b, "degree": 2 * (a + b)}
-                    for a, b in catalog.pairs
-                ],
-                sort_keys=True,
-            )
-        )
+        print(_dumps([dict(zip(header, row)) for row in rows]))
         return EXIT_OK
-    lines = ["a,b,degree"] if args.format == "csv" else ["a  b  degree"]
-    for a, b in catalog.pairs:
-        if args.format == "csv":
-            lines.append(f"{a},{b},{2 * (a + b)}")
-        else:
-            lines.append(f"{a}  {b}  {2 * (a + b)}")
-    print("\n".join(lines))
+    sep = "," if args.format == "csv" else "  "
+    print("\n".join(sep.join(map(str, row)) for row in [header, *rows]))
     return EXIT_OK
 
 

@@ -12,16 +12,11 @@ bidegree generators.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+
 from .qseries import QPoly, RationalSeries, TruncatedSeries, product_series
 from .reports import CheckReport
-from .weylcomb import (
-    GroupSizeError,
-    enumeration_cap,
-    group_order,
-)
+from .weylcomb import group_order, pair_statistic_counts
 
 FAMILIES = ("U", "SU", "Sp")
 
@@ -79,53 +74,6 @@ class GroupSpec:
         return f"{self.family}({self.n})"
 
 
-@lru_cache(maxsize=None)
-def _weyl_statistic_counts(kind: str, n: int) -> tuple[tuple[int, int], ...]:
-    """Distribution of maj(w) + maj(w^-1) (resp. the fmaj analogue) over the
-    whole group.  Raw-word loops keep rank 9 enumeration in seconds."""
-    cap = enumeration_cap(kind)
-    if not 1 <= n <= cap:
-        raise GroupSizeError(
-            f"{kind!r} enumeration supports 1 <= n <= {cap}, got n={n}; "
-            "the coinvariants oracle covers larger ranks"
-        )
-    counts: dict[int, int] = {}
-    if kind == "sym":
-        for word in itertools.permutations(range(1, n + 1)):
-            inv = [0] * n
-            maj = 0
-            prev = word[0]
-            inv[prev - 1] = 1
-            for i in range(1, n):
-                v = word[i]
-                inv[v - 1] = i + 1
-                if prev > v:
-                    maj += i
-                prev = v
-            maj_inv = sum(i for i in range(1, n) if inv[i - 1] > inv[i])
-            stat = maj + maj_inv
-            counts[stat] = counts.get(stat, 0) + 1
-    else:
-        signs = list(itertools.product((1, -1), repeat=n))
-        for base in itertools.permutations(range(1, n + 1)):
-            for mask in signs:
-                word = tuple(s * v for s, v in zip(mask, base))
-                inv = [0] * n
-                neg = 0
-                for i, v in enumerate(word, start=1):
-                    if v > 0:
-                        inv[v - 1] = i
-                    else:
-                        inv[-v - 1] = -i
-                        neg += 1
-                maj = sum(i for i in range(1, n) if word[i - 1] > word[i])
-                maj_inv = sum(i for i in range(1, n) if inv[i - 1] > inv[i])
-                neg_inv = sum(1 for v in inv if v < 0)
-                stat = (2 * maj + neg) + (2 * maj_inv + neg_inv)
-                counts[stat] = counts.get(stat, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
 def ecom_numerator(group: GroupSpec) -> QPoly:
     """Weyl sum of t^(2*(stat(w) + stat(w^-1))) with stat = maj or fmaj.
 
@@ -133,7 +81,7 @@ def ecom_numerator(group: GroupSpec) -> QPoly:
     inclusion of the commuting classifying space into BG; its value at 1 is
     the Weyl group order.
     """
-    counts = _weyl_statistic_counts(group.weyl_kind, group.n)
+    counts = pair_statistic_counts(group.weyl_kind, group.n)
     return QPoly({2 * stat: mult for stat, mult in counts})
 
 
@@ -226,9 +174,7 @@ def verify_product_relation(group: GroupSpec, trunc: int) -> CheckReport:
     """Check expand(bcom) == expand(bg) * (fiber numerator) through ``trunc``."""
     lhs = bcom_series(group).expand(trunc)
     rhs = bg_series(group).expand(trunc) * ecom_numerator(group).truncated(trunc)
-    mismatch = next(
-        (k for k in range(trunc + 1) if lhs.coeffs[k] != rhs.coeffs[k]), None
-    )
+    mismatch = lhs.first_mismatch(rhs)
     return CheckReport(
         name=f"product relation {group.label}",
         passed=mismatch is None,
@@ -246,10 +192,7 @@ def verify_stabilization(
     stable = stable_bcom(family, trunc)
     for n in sorted(ranks):
         finite = bcom_series(GroupSpec(family, n)).expand(trunc)
-        mismatch = next(
-            (k for k in range(trunc + 1) if finite.coeffs[k] != stable.coeffs[k]),
-            None,
-        )
+        mismatch = finite.first_mismatch(stable)
         if mismatch is not None:
             return CheckReport(
                 name=f"stabilization {family} ranks {ranks}",

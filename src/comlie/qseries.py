@@ -181,6 +181,14 @@ class TruncatedSeries:
     def coefficient(self, exp: int) -> int:
         return self.coeffs[exp]
 
+    def first_mismatch(self, other: "TruncatedSeries") -> int | None:
+        """Smallest degree through ``self.trunc`` where the two series differ,
+        or None when they agree there."""
+        return next(
+            (k for k in range(self.trunc + 1) if self.coeffs[k] != other.coeffs[k]),
+            None,
+        )
+
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if self.trunc != other.trunc:
             raise ValueError(

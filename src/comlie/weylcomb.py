@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 from typing import Iterator, Union
 
@@ -216,6 +217,15 @@ def group_order(kind: str, n: int) -> int:
     raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
 
 
+def _check_enumerable(kind: str, n: int) -> None:
+    cap = enumeration_cap(kind)
+    if not 1 <= n <= cap:
+        raise GroupSizeError(
+            f"{kind!r} enumeration supports 1 <= n <= {cap}, got n={n}; "
+            "the coinvariants oracle covers larger ranks"
+        )
+
+
 def elements(kind: str, n: int) -> Iterator[WeylElement]:
     """Stream every element of the group exactly once.
 
@@ -223,11 +233,7 @@ def elements(kind: str, n: int) -> Iterator[WeylElement]:
     'signed' the 2^n sign choices of each word iterated innermost.  Raises
     GroupSizeError above the enumeration cap (9 for 'sym', 5 for 'signed').
     """
-    cap = enumeration_cap(kind)
-    if not 1 <= n <= cap:
-        raise GroupSizeError(
-            f"{kind!r} enumeration supports 1 <= n <= {cap}, got n={n}"
-        )
+    _check_enumerable(kind, n)
     if kind == "sym":
         for word in itertools.permutations(range(1, n + 1)):
             yield Permutation(word)
@@ -235,3 +241,52 @@ def elements(kind: str, n: int) -> Iterator[WeylElement]:
         for base in itertools.permutations(range(1, n + 1)):
             for signs in itertools.product((1, -1), repeat=n):
                 yield SignedPermutation(tuple(s * v for s, v in zip(signs, base)))
+
+
+@lru_cache(maxsize=None)
+def pair_statistic_counts(kind: str, n: int) -> tuple[tuple[int, int], ...]:
+    """Distribution of stat(w) + stat(w^-1) over the whole group, as sorted
+    (value, multiplicity) pairs, with stat the major index for 'sym' and the
+    flag major index for 'signed'.
+
+    Raw-word loops keep rank 9 enumeration in seconds; the element methods
+    (``major_index``, ``flag_major_index``, ``inverse``) compute the same
+    statistics one object at a time and are the reference for this kernel.
+    Raises GroupSizeError above the enumeration cap.
+    """
+    _check_enumerable(kind, n)
+    counts: dict[int, int] = {}
+    if kind == "sym":
+        for word in itertools.permutations(range(1, n + 1)):
+            inv = [0] * n
+            maj = 0
+            prev = word[0]
+            inv[prev - 1] = 1
+            for i in range(1, n):
+                v = word[i]
+                inv[v - 1] = i + 1
+                if prev > v:
+                    maj += i
+                prev = v
+            maj_inv = sum(i for i in range(1, n) if inv[i - 1] > inv[i])
+            stat = maj + maj_inv
+            counts[stat] = counts.get(stat, 0) + 1
+    else:
+        signs = list(itertools.product((1, -1), repeat=n))
+        for base in itertools.permutations(range(1, n + 1)):
+            for mask in signs:
+                word = tuple(s * v for s, v in zip(mask, base))
+                inv = [0] * n
+                neg = 0
+                for i, v in enumerate(word, start=1):
+                    if v > 0:
+                        inv[v - 1] = i
+                    else:
+                        inv[-v - 1] = -i
+                        neg += 1
+                maj = sum(i for i in range(1, n) if word[i - 1] > word[i])
+                maj_inv = sum(i for i in range(1, n) if inv[i - 1] > inv[i])
+                neg_inv = sum(1 for v in inv if v < 0)
+                stat = (2 * maj + neg) + (2 * maj_inv + neg_inv)
+                counts[stat] = counts.get(stat, 0) + 1
+    return tuple(sorted(counts.items()))

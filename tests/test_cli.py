@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -99,6 +104,31 @@ def test_cache_round_trip(capsys, tmp_path):
     assert cached_files[0].read_text() == out1.strip()
 
 
+def test_corrupt_cache_file_is_recomputed(capsys, tmp_path):
+    argv = ["series", "--group", "sp", "--rank", "2", "--what", "bcom",
+            "--maxdeg", "16", "--cache-dir", str(tmp_path)]
+    _, fresh, _ = run(capsys, argv)
+    (cache_file,) = tmp_path.iterdir()
+    canonical = cache_file.read_text()
+    cache_file.write_text(canonical[:20])
+    code, out, err = run(capsys, argv)
+    assert code == 0 and out == fresh and err == ""
+    assert [p.name for p in tmp_path.iterdir()] == [cache_file.name]
+    assert cache_file.read_text() == canonical
+
+
+def test_unusable_cache_location_warns(capsys, tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    argv = ["series", "--group", "u", "--rank", "3", "--what", "ecom",
+            "--maxdeg", "12"]
+    _, fresh, _ = run(capsys, argv)
+    code, out, err = run(capsys, argv + ["--cache-dir", str(afile)])
+    assert code == 0 and out == fresh
+    assert len(err.splitlines()) == 1 and err.startswith("warning:")
+    assert afile.read_text() == "not a directory"
+
+
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV_VAR, str(tmp_path))
     argv = ["series", "--group", "u", "--rank", "2", "--what", "bg",
@@ -171,6 +201,21 @@ def test_verify_cap_exceeded_exit_code(capsys, suite, family, rank):
     assert out == "" and err.startswith("error:")
 
 
+def test_verify_sp3_default_basis_degree_within_cap(capsys):
+    code, out, _ = run(
+        capsys, ["verify", "--suite", "all", "--group", "sp", "--rank", "3"]
+    )
+    assert code == 0
+    assert "PASS descent basis Sp(3): 48 elements" in out
+    assert "fake degree" not in out
+    code, out, err = run(
+        capsys,
+        ["verify", "--suite", "basis", "--group", "sp", "--rank", "3",
+         "--maxdeg", "26"],
+    )
+    assert code == 3 and out == "" and err.startswith("error:")
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     failing = CheckReport(name="forced", passed=False, detail="forced failure")
     monkeypatch.setattr(
@@ -211,3 +256,18 @@ def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["series", "--group", "u", "--what", "nonsense"])
     assert excinfo.value.code == 2
+
+
+def test_cli_import_leaves_multisym_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, comlie.cli; print('comlie.multisym' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
+def test_readme_suite_synopsis_matches_cli():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (listed,) = re.findall(r"--suite \{([^}]*)\}", readme.read_text())
+    assert tuple(listed.split("|")) == cli.SUITES

@@ -73,6 +73,13 @@ def test_truncated_series_mismatch_raises():
         a + b
 
 
+def test_first_mismatch():
+    a = TruncatedSeries((1, 2, 3, 4))
+    assert a.first_mismatch(TruncatedSeries((1, 2, 3, 4))) is None
+    assert a.first_mismatch(TruncatedSeries((1, 2, 0, 0))) == 2
+    assert a.first_mismatch(TruncatedSeries((0, 2, 3, 4))) == 0
+
+
 def test_product_series_examples():
     assert product_series({2: 1}, 4).coeffs == (1, 0, 1, 0, 1)
     assert product_series({2: 1, 4: 2, 6: 3}, 4).coeffs[4] == 3

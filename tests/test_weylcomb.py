@@ -10,6 +10,7 @@ from comlie.weylcomb import (
     SignedPermutation,
     elements,
     group_order,
+    pair_statistic_counts,
 )
 
 
@@ -128,3 +129,25 @@ def test_flag_major_index_generating_function(n):
     for i in range(1, n + 1):
         expected = expected * QPoly({e: 1 for e in range(2 * i)})
     assert distribution == expected
+
+
+@pytest.mark.parametrize("kind, n", [
+    *(("sym", n) for n in range(1, 7)),
+    *(("signed", n) for n in range(1, 5)),
+])
+def test_pair_statistic_kernel_matches_element_methods(kind, n):
+    def stat(w):
+        return w.major_index() if kind == "sym" else w.flag_major_index()
+
+    expected: dict[int, int] = {}
+    for w in elements(kind, n):
+        value = stat(w) + stat(w.inverse())
+        expected[value] = expected.get(value, 0) + 1
+    assert pair_statistic_counts(kind, n) == tuple(sorted(expected.items()))
+
+
+def test_pair_statistic_kernel_cap():
+    with pytest.raises(GroupSizeError, match="oracle"):
+        pair_statistic_counts("signed", 6)
+    with pytest.raises(GroupSizeError, match="oracle"):
+        list(elements("sym", 10))
