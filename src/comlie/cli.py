@@ -102,15 +102,17 @@ def _render_series(payload: dict, fmt: str) -> str:
     return f"{header}\n{poly.to_str('t')}"
 
 
-def _read_cache(path: Path) -> dict | None:
-    """The cached payload, or None when the file is missing, unreadable or
-    not in canonical form; such a file is recomputed and overwritten."""
+def _read_cache(path: Path, header: dict, trunc: int) -> dict | None:
+    """The cached payload, or None when the file is missing, unreadable, not
+    in canonical form or not the series of ``header`` through ``trunc``;
+    such a file is recomputed and overwritten."""
     try:
         text = path.read_text()
-        payload = json.loads(text)
-    except (OSError, ValueError):
+        series = TruncatedSeries.from_json(json.loads(text)["series"])
+    except (OSError, ValueError, LookupError, TypeError):
         return None
-    return payload if _dumps(payload) == text else None
+    payload = {**header, "series": series.to_json("t")}
+    return payload if series.trunc == trunc and _dumps(payload) == text else None
 
 
 def _write_cache(path: Path, text: str) -> None:
@@ -146,7 +148,9 @@ def cmd_series(args: argparse.Namespace) -> int:
         )
         cache_path = Path(cache_dir) / name
 
-    payload = _read_cache(cache_path) if cache_path is not None else None
+    header = {"family": family, "n": rank, "quantity": args.what}
+    payload = (_read_cache(cache_path, header, args.maxdeg)
+               if cache_path is not None else None)
     if payload is None:
         try:
             series = _compute_series(
@@ -159,12 +163,7 @@ def cmd_series(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_CAP
-        payload = {
-            "family": family,
-            "n": rank,
-            "quantity": args.what,
-            "series": series.to_json("t"),
-        }
+        payload = {**header, "series": series.to_json("t")}
         if cache_path is not None:
             _write_cache(cache_path, _dumps(payload))
 
@@ -225,9 +224,15 @@ def _fakedeg_suite(group: GroupSpec, maxdeg: int | None) -> list[CheckReport]:
     return [repa.verify_fake_degree_identities(group.n)]
 
 
+#: Ranks the stable suite checks, its default degree, and the last degree
+#: where those ranks agree with the stable series: 2n + 1 for U(n) and
+#: SU(n), 4n + 3 for Sp(n), n the smaller rank.
+_STABLE_RANKS = {"U": ([8, 9], 16, 17), "SU": ([8, 9], 16, 17), "Sp": ([4, 5], 12, 19)}
+
+
 def _stable_suite(group: GroupSpec, maxdeg: int | None) -> list[CheckReport]:
-    ranks, trunc = ([4, 5], 12) if group.family == "Sp" else ([8, 9], 16)
-    trunc = maxdeg if maxdeg is not None else trunc
+    ranks, default, _ = _STABLE_RANKS[group.family]
+    trunc = maxdeg if maxdeg is not None else default
     return [poincare.verify_stabilization(group.family, ranks, trunc)]
 
 
@@ -259,6 +264,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return _fail_usage("fake degrees are implemented for the symmetric "
                                "Weyl groups (families u, su) only")
         names.remove("fakedeg")
+    ranks, _, limit = _STABLE_RANKS[group.family]
+    if args.maxdeg is not None and args.maxdeg < 0:
+        return _fail_usage("--maxdeg must be >= 0")
+    if "stable" in names and args.maxdeg is not None and args.maxdeg > limit:
+        return _fail_usage(f"--maxdeg {args.maxdeg} is past the stable range "
+                           f"of {group.family} ranks {ranks}, which agree with "
+                           f"the stable series through degree {limit}")
     try:
         reports = [r for name in names
                    for r in VERIFY_SUITES[name](group, args.maxdeg)]

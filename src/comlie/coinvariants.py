@@ -23,7 +23,7 @@ from math import factorial
 from typing import Iterator
 
 from .poincare import GroupSpec
-from .qseries import TruncatedSeries, _divide_by_factor
+from .qseries import QPoly, TruncatedSeries, _convolve, _divide_by_factor
 from .repa import partitions
 from .weylcomb import CycleData
 
@@ -91,34 +91,29 @@ def _check_consistent(group: GroupSpec, cycles: CycleData) -> None:
         raise ValueError(f"{group.label} has no negative cycles")
 
 
-def _multiply_by_one_minus(coeffs: list[int], exp: int) -> None:
-    for k in range(len(coeffs) - 1, exp - 1, -1):
-        coeffs[k] -= coeffs[k - exp]
-
-
-def _apply_det_inverse(
-    coeffs: list[int], group: GroupSpec, cycles: CycleData
-) -> None:
-    """In place, multiply by 1/det(1 - s*w) on the reflection representation.
-
-    On the permutation representation the determinant is the product of
-    (1 - s^c) over positive and (1 + s^c) over negative cycles; for SU the
-    trivial summand is split off, which divides it by (1 - s).
-    """
+def _numerator(group: GroupSpec, trunc: int, dets: int) -> list[int]:
+    """Coefficients through ``trunc`` of the class-independent numerator of
+    prod_i (1 - s^(d_i)) / det(1 - s*w)^dets on the reflection representation.
+    For SU, whose trivial summand is split off, that determinant is the one on
+    the permutation representation (``_over_det``) over (1 - s)."""
+    degrees = invariant_degrees(group)
     if group.family == "SU":
-        _multiply_by_one_minus(coeffs, 1)
-    for c in cycles.positive_cycles:
-        _divide_by_factor(coeffs, c, sign=1)
-    for c in cycles.negative_cycles:
-        _divide_by_factor(coeffs, c, sign=-1)
+        degrees += (1,) * dets
+    poly = QPoly.one()
+    for d in degrees:
+        poly = poly * QPoly({0: 1, d: -1})
+    return poly.coefficients_through(trunc)
 
 
-def _char_coeffs(group: GroupSpec, cycles: CycleData, trunc: int) -> list[int]:
-    coeffs = [0] * (trunc + 1)
-    coeffs[0] = 1
-    for d in invariant_degrees(group):
-        _multiply_by_one_minus(coeffs, d)
-    _apply_det_inverse(coeffs, group, cycles)
+def _over_det(numerator: list[int], cycles: CycleData, dets: int) -> list[int]:
+    """The numerator divided ``dets`` times by det(1 - s*w) on the
+    permutation representation: the product of (1 - s^c) over positive and
+    (1 + s^c) over negative cycles."""
+    coeffs = numerator.copy()
+    signed = [(c, 1) for c in cycles.positive_cycles]
+    signed += [(c, -1) for c in cycles.negative_cycles]
+    for c, sign in signed * dets:
+        _divide_by_factor(coeffs, c, sign)
     return coeffs
 
 
@@ -128,7 +123,7 @@ def coinvariant_char(
     """Graded trace of a class on the coinvariant algebra, in s = t^2,
     through degree ``trunc``."""
     _check_consistent(group, cycles)
-    return TruncatedSeries(tuple(_char_coeffs(group, cycles, trunc)))
+    return TruncatedSeries(tuple(_over_det(_numerator(group, trunc, 1), cycles, 1)))
 
 
 def _exact_average(acc: list[int], order: int) -> list[int]:
@@ -143,40 +138,32 @@ def _exact_average(acc: list[int], order: int) -> list[int]:
     return out
 
 
-def _spread_to_t(s_coeffs: list[int], trunc: int) -> TruncatedSeries:
-    out = [0] * (trunc + 1)
-    for k, c in enumerate(s_coeffs):
-        if 2 * k <= trunc:
-            out[2 * k] = c
-    return TruncatedSeries(tuple(out))
+def _class_average(
+    group: GroupSpec, trunc: int, dets: int, square: bool
+) -> TruncatedSeries:
+    """Class-size weighted average, through t-degree ``trunc``, of
+    prod_i (1 - s^(d_i)) / det(1 - s*w)^dets, squared first when ``square``."""
+    s_trunc = trunc // 2
+    numerator = _numerator(group, s_trunc, dets)
+    acc = [0] * (s_trunc + 1)
+    for cycles, size in conjugacy_classes(group):
+        ch = _over_det(numerator, cycles, dets)
+        if square:
+            ch = _convolve(ch, ch, s_trunc)
+        for k, c in enumerate(ch):
+            acc[k] += size * c
+    t_coeffs = [0] * (trunc + 1)
+    t_coeffs[::2] = _exact_average(acc, group.weyl_order)
+    return TruncatedSeries(tuple(t_coeffs))
 
 
 def oracle_ecom(group: GroupSpec, trunc: int) -> TruncatedSeries:
     """Fiber-space series through t-degree ``trunc`` via the class-sum of
     squared coinvariant characters."""
-    s_trunc = trunc // 2
-    acc = [0] * (s_trunc + 1)
-    for cycles, size in conjugacy_classes(group):
-        ch = _char_coeffs(group, cycles, s_trunc)
-        for k in range(s_trunc + 1):
-            total = 0
-            for i in range(k + 1):
-                a = ch[i]
-                if a:
-                    total += a * ch[k - i]
-            acc[k] += size * total
-    return _spread_to_t(_exact_average(acc, group.weyl_order), trunc)
+    return _class_average(group, trunc, dets=1, square=True)
 
 
 def oracle_bcom(group: GroupSpec, trunc: int) -> TruncatedSeries:
     """Commuting-classifying-space series through t-degree ``trunc`` via the
     class-sum of character over reflection determinant."""
-    s_trunc = trunc // 2
-    acc = [0] * (s_trunc + 1)
-    for cycles, size in conjugacy_classes(group):
-        ch = _char_coeffs(group, cycles, s_trunc)
-        _apply_det_inverse(ch, group, cycles)
-        for k in range(s_trunc + 1):
-            if ch[k]:
-                acc[k] += size * ch[k]
-    return _spread_to_t(_exact_average(acc, group.weyl_order), trunc)
+    return _class_average(group, trunc, dets=2, square=False)

@@ -4,29 +4,54 @@ Rational series keep their denominator as an unexpanded product of factors
 (1 - t^e)^m, the only denominator shape needed here.  Expansion runs the
 forward recurrence c[k] += c[k-e] once per factor, so every coefficient is
 an exact integer and no polynomial division ever happens.
+
+Coefficients are dense, constant term first; ``_convolve`` multiplies them
+and ``_divide_by_factor`` runs that recurrence, for the whole library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import zip_longest
+from operator import mul
+from typing import Iterable, Mapping, Sequence
+
+
+def _used_length(coeffs: Sequence[int]) -> int:
+    """Length of ``coeffs`` without its trailing zeros."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return end
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], trunc: int) -> list[int]:
+    """Coefficients 0..``trunc`` of the product of two nonempty coefficient
+    sequences, constant term first; the one convolution of the library."""
+    if len(a) > len(b):
+        a, b = b, a
+    top = min(trunc, len(a) + len(b) - 2)
+    used = _used_length(a)
+    # window[top - k + i] == b[k - i], zero outside b, so that each output
+    # coefficient is one dot product of ``a`` with a slice of the window
+    window = [0] * (top + 1 - len(b)) + [*b[top::-1]] + [0] * (used - 1)
+    return [sum(map(mul, a, window[p : p + used])) for p in range(top, -1, -1)]
 
 
 class QPoly:
-    """Sparse univariate polynomial with arbitrary-precision integer
-    coefficients, keyed by exponent."""
+    """Univariate polynomial with arbitrary-precision integer coefficients,
+    stored densely from the constant term up, with no trailing zeros."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        data: dict[int, int] = {}
-        if coeffs:
-            for exp, c in coeffs.items():
-                if exp < 0:
-                    raise ValueError(f"negative exponent {exp}")
-                if c != 0:
-                    data[int(exp)] = data.get(int(exp), 0) + int(c)
-        self._coeffs = {e: c for e, c in data.items() if c != 0}
+        coeffs = coeffs or {}
+        if min(coeffs, default=0) < 0:
+            raise ValueError(f"negative exponent {min(coeffs)}")
+        dense = [0] * (int(max(coeffs, default=-1)) + 1)
+        for exp, c in coeffs.items():
+            dense[int(exp)] += int(c)
+        self._coeffs = tuple(dense[: _used_length(dense)])
 
     @classmethod
     def zero(cls) -> "QPoly":
@@ -42,29 +67,32 @@ class QPoly:
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[int]) -> "QPoly":
-        return cls({e: c for e, c in enumerate(coeffs)})
+        dense = list(map(int, coeffs))
+        poly = cls.__new__(cls)
+        poly._coeffs = tuple(dense[: _used_length(dense)])
+        return poly
 
     def items(self) -> list[tuple[int, int]]:
-        return sorted(self._coeffs.items())
+        return [(e, c) for e, c in enumerate(self._coeffs) if c]
 
     def coefficient(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
+        return self._coeffs[exp] if 0 <= exp < len(self._coeffs) else 0
 
     @property
     def degree(self) -> int:
         """Largest exponent with nonzero coefficient; -1 for the zero polynomial."""
-        return max(self._coeffs) if self._coeffs else -1
+        return len(self._coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self._coeffs
 
     def value_at_one(self) -> int:
-        return sum(self._coeffs.values())
+        return sum(self._coeffs)
 
     def coefficients_through(self, trunc: int) -> list[int]:
         if trunc < 0:
             raise ValueError("trunc must be >= 0")
-        return [self._coeffs.get(e, 0) for e in range(trunc + 1)]
+        return list(self._coeffs[: trunc + 1]) + [0] * (trunc - self.degree)
 
     def truncated(self, trunc: int) -> "TruncatedSeries":
         return TruncatedSeries(tuple(self.coefficients_through(trunc)))
@@ -74,9 +102,8 @@ class QPoly:
         if self.is_zero():
             return True
         top = self.degree if top is None else top
-        return all(
-            c == self._coeffs.get(top - e, 0) for e, c in self._coeffs.items()
-        )
+        padded = self._coeffs + (0,) * (top - self.degree)
+        return self.degree <= top and padded == padded[::-1]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -86,33 +113,28 @@ class QPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        return hash(self._coeffs)
 
     def __add__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
             other = QPoly({0: other})
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return QPoly(out)
+        pairs = zip_longest(self._coeffs, other._coeffs, fillvalue=0)
+        return QPoly.from_coeffs([x + y for x, y in pairs])
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly({e: -c for e, c in self._coeffs.items()})
+        return QPoly.from_coeffs([-c for c in self._coeffs])
 
     def __sub__(self, other: "QPoly | int") -> "QPoly":
         return self + (-other)
 
     def __mul__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
-            return QPoly({e: c * other for e, c in self._coeffs.items()})
-        out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return QPoly(out)
+            return QPoly.from_coeffs([c * other for c in self._coeffs])
+        a, b = self._coeffs, other._coeffs
+        product = _convolve(a, b, len(a) + len(b) - 2) if a and b else []
+        return QPoly.from_coeffs(product)
 
     __rmul__ = __mul__
 
@@ -140,27 +162,20 @@ def exact_div(num: QPoly, den: QPoly) -> QPoly:
     """Exact polynomial quotient; raises ValueError when the remainder is nonzero."""
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    rem = {e: c for e, c in num.items()}
-    out: dict[int, int] = {}
-    dd = den.degree
-    lead = den.coefficient(dd)
-    den_items = den.items()
-    while rem:
-        e = max(rem)
-        if e < dd:
-            raise ValueError("inexact polynomial division")
-        q, r = divmod(rem[e], lead)
+    *low, lead = den._coeffs
+    dd = len(low)
+    rem = list(num._coeffs)
+    quot = [0] * max(0, len(rem) - dd)
+    for k in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rem[k + dd], lead)
         if r != 0:
             raise ValueError("inexact polynomial division")
-        out[e - dd] = q
-        for de, dc in den_items:
-            k = e - dd + de
-            v = rem.get(k, 0) - q * dc
-            if v:
-                rem[k] = v
-            else:
-                rem.pop(k, None)
-    return QPoly(out)
+        if q:
+            quot[k] = q
+            rem[k : k + dd] = [x - q * y for x, y in zip(rem[k : k + dd], low)]
+    if any(rem[:dd]):
+        raise ValueError("inexact polynomial division")
+    return QPoly.from_coeffs(quot)
 
 
 @dataclass(frozen=True)
@@ -189,28 +204,17 @@ class TruncatedSeries:
             None,
         )
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    def _check_trunc(self, other: "TruncatedSeries") -> None:
         if self.trunc != other.trunc:
-            raise ValueError(
-                f"truncation mismatch: {self.trunc} != {other.trunc}"
-            )
+            raise ValueError(f"truncation mismatch: {self.trunc} != {other.trunc}")
+
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        self._check_trunc(other)
         return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.trunc != other.trunc:
-            raise ValueError(
-                f"truncation mismatch: {self.trunc} != {other.trunc}"
-            )
-        n = self.trunc
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(tuple(out))
+        self._check_trunc(other)
+        return TruncatedSeries(tuple(_convolve(self.coeffs, other.coeffs, self.trunc)))
 
     def to_json(self, var: str = "t") -> dict:
         return {"var": var, "trunc": self.trunc, "coeffs": list(self.coeffs)}
@@ -295,16 +299,9 @@ def product_series(
     generators in degree d.  A weight in degree 0 is rejected because the
     grading would not be locally finite.
     """
-    coeffs = [0] * (trunc + 1)
-    coeffs[0] = 1
-    for degree in sorted(weights):
-        mult = weights[degree]
-        if mult == 0:
-            continue
-        if degree < 1:
-            raise ValueError("generator degrees must be >= 1")
-        if mult < 0:
-            raise ValueError("multiplicities must be >= 0")
-        for _ in range(mult):
-            _divide_by_factor(coeffs, degree)
-    return TruncatedSeries(tuple(coeffs))
+    factors = {degree: mult for degree, mult in weights.items() if mult != 0}
+    if min(factors, default=1) < 1:
+        raise ValueError("generator degrees must be >= 1")
+    if min(factors.values(), default=0) < 0:
+        raise ValueError("multiplicities must be >= 0")
+    return RationalSeries(QPoly.one(), factors).expand(trunc)

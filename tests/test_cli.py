@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -106,15 +107,28 @@ def test_cache_round_trip(capsys, tmp_path):
 
 def test_corrupt_cache_file_is_recomputed(capsys, tmp_path):
     argv = ["series", "--group", "sp", "--rank", "2", "--what", "bcom",
-            "--maxdeg", "16", "--cache-dir", str(tmp_path)]
-    _, fresh, _ = run(capsys, argv)
+            "--maxdeg", "16"]
+    fresh = {fmt: run(capsys, argv + ["--format", fmt])[1]
+             for fmt in ("text", "json")}
+    argv += ["--cache-dir", str(tmp_path)]
+    run(capsys, argv)
     (cache_file,) = tmp_path.iterdir()
     canonical = cache_file.read_text()
-    cache_file.write_text(canonical[:20])
-    code, out, err = run(capsys, argv)
-    assert code == 0 and out == fresh and err == ""
-    assert [p.name for p in tmp_path.iterdir()] == [cache_file.name]
-    assert cache_file.read_text() == canonical
+    payload = json.loads(canonical)
+    short = dict(payload["series"], coeffs=payload["series"]["coeffs"][:5])
+    malformed = [
+        canonical[:20],
+        '{"a": 1}',
+        cli._dumps(dict(payload, series=short)),
+        cli._dumps(dict(payload, family="U")),
+    ]
+    for text in malformed:
+        for fmt, expected in fresh.items():
+            cache_file.write_text(text)
+            code, out, err = run(capsys, argv + ["--format", fmt])
+            assert code == 0 and out == expected and err == "", text
+            assert [p.name for p in tmp_path.iterdir()] == [cache_file.name]
+            assert cache_file.read_text() == canonical
 
 
 def test_unusable_cache_location_warns(capsys, tmp_path):
@@ -185,6 +199,28 @@ def test_verify_usage_errors(capsys):
         capsys, ["verify", "--suite", "fakedeg", "--group", "sp", "--rank", "2"]
     )
     assert code == 2 and "symmetric" in err
+    for suite in cli.SUITES:
+        code, out, err = run(capsys, ["verify", "--suite", suite, "--group",
+                                      "u", "--rank", "2", "--maxdeg", "-1"])
+        assert (code, out, err) == (2, "", "error: --maxdeg must be >= 0\n")
+
+
+@pytest.mark.parametrize("family, maxdeg, code", [
+    ("u", 17, 0), ("u", 18, 2), ("su", 17, 0), ("su", 18, 2),
+    ("sp", 19, 0), ("sp", 20, 2),
+])
+def test_verify_stable_refuses_degrees_past_the_stable_range(
+    capsys, family, maxdeg, code
+):
+    argv = ["verify", "--suite", "stable", "--group", family, "--rank", "1",
+            "--maxdeg", str(maxdeg)]
+    got, out, err = run(capsys, argv)
+    assert got == code
+    if code == 0:
+        assert out.startswith("PASS stabilization")
+    else:
+        limit = 19 if family == "sp" else 17
+        assert out == "" and f"through degree {limit}" in err
 
 
 @pytest.mark.parametrize("suite, family, rank", [
@@ -265,6 +301,36 @@ def test_cli_import_leaves_multisym_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def _readme_examples() -> list[tuple[list[str], list[str]]]:
+    """(argv, expected output lines) of every ``$ comlie ...`` example."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples, lines = [], None
+    for line in readme.read_text().splitlines():
+        if line.startswith("$ comlie "):
+            lines = []
+            examples.append((shlex.split(line)[2:], lines))
+        elif lines is not None and line.strip() and not line.startswith("```"):
+            lines.append(line)
+        else:
+            lines = None
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("argv, expected", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_examples_print_what_they_show(capsys, argv, expected):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    lines = out.splitlines()
+    if expected[-1] == "...":
+        expected = expected[:-1]
+        lines = lines[: len(expected)]
+    assert lines == expected
 
 
 def test_readme_suite_synopsis_matches_cli():

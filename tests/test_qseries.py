@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from comlie.qseries import (
     QPoly,
@@ -58,9 +58,23 @@ def test_value_at_one_counts_basis():
     assert p.value_at_one() == 6
 
 
+def test_coefficients_outside_the_stored_range():
+    p = QPoly({0: 3, 5: -2, 7: 0})
+    assert p.degree == 5 and p.items() == [(0, 3), (5, -2)]
+    assert p.coefficient(-1) == 0 and p.coefficient(p.degree + 1) == 0
+    assert p.coefficient(5) == -2 and p.coefficient(2) == 0
+    assert p.coefficients_through(7) == [3, 0, 0, 0, 0, -2, 0, 0]
+    assert QPoly.from_coeffs([0, 1, 0, 0]) == QPoly({1: 1})
+    assert QPoly.zero().degree == -1 and QPoly({4: 0}).is_zero()
+    with pytest.raises(ValueError):
+        QPoly({-1: 1})
+
+
 def test_palindromic():
     assert QPoly({0: 1, 4: 1, 6: 2, 8: 1, 12: 1}).is_palindromic(12)
     assert not QPoly({0: 1, 2: 1}).is_palindromic(4)
+    assert QPoly({1: 1, 3: 1}).is_palindromic(4)
+    assert not QPoly({0: 1, 6: 1}).is_palindromic(4)
     assert QPoly.zero().is_palindromic()
 
 
@@ -108,6 +122,19 @@ def test_exact_div():
     assert exact_div(num, QPoly({0: 1, 1: 1})) == QPoly({0: 1, 1: -1})
     with pytest.raises(ValueError):
         exact_div(QPoly({0: 1, 1: 1}), QPoly({0: 1, 1: -1, 2: 5}))
+    # non-monic divisor 2 + 3t
+    assert exact_div(QPoly({0: 2, 1: 5, 2: 3}), QPoly({0: 2, 1: 3})) == QPoly(
+        {0: 1, 1: 1})
+    with pytest.raises(ValueError):
+        exact_div(QPoly({0: 1, 1: 1}), QPoly({0: 1, 1: 2}))
+    # (1 + t)(1 + t^2) + 1: the remainder 1 sits below the divisor's degree
+    with pytest.raises(ValueError):
+        exact_div(QPoly({0: 2, 1: 1, 2: 1, 3: 1}), QPoly({0: 1, 2: 1}))
+    with pytest.raises(ValueError):
+        exact_div(QPoly({0: 1}), QPoly({0: 1, 1: 1}))
+    assert exact_div(QPoly.zero(), QPoly({0: 1, 1: 1})).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        exact_div(QPoly.one(), QPoly.zero())
 
 
 def test_json_round_trip():
@@ -126,6 +153,18 @@ def test_ring_axioms(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+@given(qpoly_strategy(), qpoly_strategy())
+def test_exact_div_undoes_multiplication(p, q):
+    assume(not q.is_zero())
+    assert exact_div(p * q, q) == p
+
+
+@given(qpoly_strategy(), qpoly_strategy(), st.integers(0, 20))
+def test_truncated_product_is_the_truncated_polynomial_product(p, q, trunc):
+    product = p.truncated(trunc) * q.truncated(trunc)
+    assert product == (p * q).truncated(trunc)
 
 
 @given(qpoly_strategy(max_degree=6), factors_strategy, st.integers(8, 14))
