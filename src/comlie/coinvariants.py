@@ -6,11 +6,13 @@ flag manifold is
     prod_i (1 - s^(d_i)) / det(1 - s*w),
 
 with d_i the invariant degrees and the determinant taken on the reflection
-representation (the Lie algebra of the maximal torus).  Averaging the square
-of this trace over the group gives the fiber-space series; averaging trace
-over det once more gives the series of the commuting classifying space.
-Both averages run over conjugacy classes weighted by class size, so the
-oracle scales with the number of cycle types, not with the group order.
+representation (the Lie algebra of the maximal torus).  Write N for the
+numerator.  The fiber-space series is N^2 times the class average of
+1/det(1 - s*w)^2, the square of the trace averaged over the group; the series
+of the commuting classifying space is N times that same average.  Both
+averages run over conjugacy classes weighted by class size and divide each
+class by det(1 - s*w) twice, in time linear in the truncation per cycle, so
+the oracle scales with the number of cycle types, not with the group order.
 
 Everything stays in exact integers; the final division by the group order is
 checked for exactness and never rounded.
@@ -23,7 +25,7 @@ from math import factorial
 from typing import Iterator
 
 from .poincare import GroupSpec
-from .qseries import QPoly, TruncatedSeries, _convolve, _divide_by_factor
+from .qseries import QPoly, TruncatedSeries, _divide_by_factor
 from .repa import partitions
 from .weylcomb import CycleData
 
@@ -91,18 +93,18 @@ def _check_consistent(group: GroupSpec, cycles: CycleData) -> None:
         raise ValueError(f"{group.label} has no negative cycles")
 
 
-def _numerator(group: GroupSpec, trunc: int, dets: int) -> list[int]:
-    """Coefficients through ``trunc`` of the class-independent numerator of
-    prod_i (1 - s^(d_i)) / det(1 - s*w)^dets on the reflection representation.
-    For SU, whose trivial summand is split off, that determinant is the one on
-    the permutation representation (``_over_det``) over (1 - s)."""
+def _numerator(group: GroupSpec, dets: int) -> QPoly:
+    """Class-independent numerator of prod_i (1 - s^(d_i)) / det(1 - s*w)^dets
+    on the reflection representation.  For SU, whose trivial summand is split
+    off, that determinant is the one on the permutation representation
+    (``_over_det``) over (1 - s)."""
     degrees = invariant_degrees(group)
     if group.family == "SU":
         degrees += (1,) * dets
     poly = QPoly.one()
     for d in degrees:
         poly = poly * QPoly({0: 1, d: -1})
-    return poly.coefficients_through(trunc)
+    return poly
 
 
 def _over_det(numerator: list[int], cycles: CycleData, dets: int) -> list[int]:
@@ -123,7 +125,8 @@ def coinvariant_char(
     """Graded trace of a class on the coinvariant algebra, in s = t^2,
     through degree ``trunc``."""
     _check_consistent(group, cycles)
-    return TruncatedSeries(tuple(_over_det(_numerator(group, trunc, 1), cycles, 1)))
+    numerator = _numerator(group, 1).coefficients_through(trunc)
+    return TruncatedSeries(tuple(_over_det(numerator, cycles, 1)))
 
 
 def _exact_average(acc: list[int], order: int) -> list[int]:
@@ -138,19 +141,14 @@ def _exact_average(acc: list[int], order: int) -> list[int]:
     return out
 
 
-def _class_average(
-    group: GroupSpec, trunc: int, dets: int, square: bool
-) -> TruncatedSeries:
+def _class_average(group: GroupSpec, trunc: int, numerator: QPoly) -> TruncatedSeries:
     """Class-size weighted average, through t-degree ``trunc``, of
-    prod_i (1 - s^(d_i)) / det(1 - s*w)^dets, squared first when ``square``."""
+    ``numerator`` / det(1 - s*w)^2 on the permutation representation."""
     s_trunc = trunc // 2
-    numerator = _numerator(group, s_trunc, dets)
+    coeffs = numerator.coefficients_through(s_trunc)
     acc = [0] * (s_trunc + 1)
     for cycles, size in conjugacy_classes(group):
-        ch = _over_det(numerator, cycles, dets)
-        if square:
-            ch = _convolve(ch, ch, s_trunc)
-        for k, c in enumerate(ch):
+        for k, c in enumerate(_over_det(coeffs, cycles, 2)):
             acc[k] += size * c
     t_coeffs = [0] * (trunc + 1)
     t_coeffs[::2] = _exact_average(acc, group.weyl_order)
@@ -159,11 +157,12 @@ def _class_average(
 
 def oracle_ecom(group: GroupSpec, trunc: int) -> TruncatedSeries:
     """Fiber-space series through t-degree ``trunc`` via the class-sum of
-    squared coinvariant characters."""
-    return _class_average(group, trunc, dets=1, square=True)
+    squared coinvariant characters, (N / det)^2 = N^2 / det^2."""
+    numerator = _numerator(group, 1)
+    return _class_average(group, trunc, numerator * numerator)
 
 
 def oracle_bcom(group: GroupSpec, trunc: int) -> TruncatedSeries:
     """Commuting-classifying-space series through t-degree ``trunc`` via the
     class-sum of character over reflection determinant."""
-    return _class_average(group, trunc, dets=2, square=False)
+    return _class_average(group, trunc, _numerator(group, 2))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from comlie import coinvariants, qseries
 from comlie.coinvariants import (
     IntegralityError,
     _exact_average,
@@ -119,6 +120,53 @@ def test_class_sum_equals_element_sum(group):
     assert all(v == int(v) for v in acc)
     by_classes = oracle_ecom(group, 2 * s_trunc)
     assert by_classes.coeffs[::2] == tuple(by_elements)
+
+
+def _reference_ecom(group, trunc):
+    """Class-size weighted sum of squared coinvariant characters, multiplied
+    as truncated series and divided by the group order."""
+    s_trunc = trunc // 2
+    acc = TruncatedSeries((0,) * (s_trunc + 1))
+    for cycles, size in conjugacy_classes(group):
+        char = coinvariant_char(group, cycles, s_trunc)
+        acc = acc + TruncatedSeries(tuple(size * c for c in (char * char).coeffs))
+    coeffs = [0] * (trunc + 1)
+    coeffs[::2] = [c // group.weyl_order for c in acc.coeffs]
+    assert [c * group.weyl_order for c in coeffs[::2]] == list(acc.coeffs)
+    return TruncatedSeries(tuple(coeffs))
+
+
+@pytest.mark.parametrize(
+    "group",
+    [GroupSpec(family, n) for family in ("u", "su") for n in range(1, 11)]
+    + [GroupSpec("sp", n) for n in range(1, 7)],
+    ids=lambda g: g.label,
+)
+def test_oracle_ecom_equals_squared_character_sum(group):
+    for trunc in sorted({0, 1, 7, 20, min(group.top_ecom_degree, 80)}):
+        assert oracle_ecom(group, trunc) == _reference_ecom(group, trunc)
+
+
+def test_oracle_ecom_squares_once_per_call(monkeypatch):
+    convolve = qseries._convolve
+    calls = []
+
+    def counted(a, b, trunc):
+        calls.append(trunc)
+        return convolve(a, b, trunc)
+
+    group = GroupSpec("u", 12)
+    classes = sum(1 for _ in conjugacy_classes(group))
+    monkeypatch.setattr(qseries, "_convolve", counted)
+    monkeypatch.setattr(coinvariants, "_convolve", counted, raising=False)
+    oracle_bcom(group, 60)
+    bcom_calls = len(calls)
+    calls.clear()
+    oracle_ecom(group, 60)
+    # the numerator's factors and one square, however many classes there are
+    assert classes == 77
+    assert len(calls) <= bcom_calls + 1
+    assert len(calls) < classes
 
 
 def test_exact_average_raises_on_non_integer():

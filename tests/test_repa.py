@@ -2,7 +2,7 @@ from math import factorial
 
 import pytest
 
-from comlie.qseries import QPoly
+from comlie.qseries import QPoly, exact_div
 from comlie.repa import (
     count_standard_tableaux,
     fake_degree,
@@ -12,6 +12,7 @@ from comlie.repa import (
     partitions,
     partitions_max_parts,
     q_factorial,
+    q_int,
     verify_fake_degree_identities,
 )
 from comlie.poincare import GroupSpec, ecom_numerator
@@ -41,8 +42,20 @@ def test_fake_degree_examples():
     assert fake_degree((1, 1)).poly == QPoly.monomial(1)
     assert fake_degree((2, 1)).poly == QPoly({1: 1, 2: 1})
     assert fake_degree((1, 1, 1)).poly == QPoly.monomial(3)
-    with pytest.raises(ValueError):
-        fake_degree((1, 2))
+    for not_a_partition in [(1, 2), (2, 3, 1), (1, 1, 2), (0,), (2, 0), (-1,)]:
+        with pytest.raises(ValueError):
+            fake_degree(not_a_partition)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_fake_degree_is_hook_formula_quotient(n):
+    for shape in partitions(n):
+        hooks = QPoly.one()
+        for h in hook_lengths(shape):
+            hooks = hooks * q_int(h)
+        shift = sum(i * part for i, part in enumerate(shape))
+        expected = QPoly.monomial(shift) * exact_div(q_factorial(n), hooks)
+        assert fake_degree(shape).poly == expected
 
 
 def test_count_standard_tableaux():
