@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument(
         "--oracle",
         action="store_true",
-        help="use the conjugacy-class formula instead of enumeration",
+        help="use the conjugacy-class formula instead of the closed form",
     )
     p_series.set_defaults(func=cmd_series)
 

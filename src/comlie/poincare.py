@@ -4,7 +4,10 @@ classical groups U(n), SU(n) and Sp(n).
 The homotopy-fiber space over the classifying space of such a group has
 Poincare series given by a Weyl-group sum: over the symmetric group the
 exponent of t is 2*(maj(w) + maj(w^-1)), over the hyperoctahedral group it is
-2*(fmaj(w) + fmaj(w^-1)).  Dividing by the Poincare series denominator of BG
+2*(fmaj(w) + fmaj(w^-1)).  The sum is computed as the sum of squared fake
+degrees from ``repa``, in time polynomial in the number of (bi)partitions;
+enumerating the group (``weylcomb.pair_statistic_counts``) is the reference
+the tests compare it with.  Dividing by the Poincare series denominator of BG
 gives the series of the commuting classifying space itself.  The stable
 (rank -> infinity) answer is a free graded algebra on an explicit catalog of
 bidegree generators.
@@ -13,10 +16,12 @@ bidegree generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .qseries import QPoly, RationalSeries, TruncatedSeries, product_series
+from .repa import fiber_numerator_series, signed_fiber_numerator_series
 from .reports import CheckReport
-from .weylcomb import group_order, pair_statistic_counts
+from .weylcomb import _check_enumerable, group_order
 
 FAMILIES = ("U", "SU", "Sp")
 
@@ -79,10 +84,24 @@ def ecom_numerator(group: GroupSpec) -> QPoly:
 
     This polynomial is the Poincare series of the homotopy fiber of the
     inclusion of the commuting classifying space into BG; its value at 1 is
-    the Weyl group order.
+    the Weyl group order.  It is built from fake degrees, without
+    enumerating the group, as the squared-character sum of
+    ``repa.fiber_numerator_series`` or ``repa.signed_fiber_numerator_series``
+    in q = t^2; ``weylcomb.pair_statistic_counts`` is the enumeration it is
+    checked against.  Ranks above the enumeration caps still raise
+    GroupSizeError, which the CLI reports with exit code 3.
     """
-    counts = pair_statistic_counts(group.weyl_kind, group.n)
-    return QPoly({2 * stat: mult for stat, mult in counts})
+    _check_enumerable(group.weyl_kind, group.n)
+    return _ecom_numerator(group.weyl_kind, group.n)
+
+
+@lru_cache(maxsize=None)
+def _ecom_numerator(kind: str, n: int) -> QPoly:
+    if kind == "sym":
+        pair_series = fiber_numerator_series(n)
+    else:
+        pair_series = signed_fiber_numerator_series(n)
+    return QPoly({2 * e: c for e, c in pair_series.items()})
 
 
 def bg_series(group: GroupSpec) -> RationalSeries:

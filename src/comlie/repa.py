@@ -1,4 +1,5 @@
-"""Partitions, graded tableau counts and the type-A character series.
+"""Partitions, graded tableau counts and the character series of the
+symmetric and hyperoctahedral groups.
 
 The graded multiplicity polynomial of an irreducible symmetric-group
 character inside the coinvariant algebra is computed by the q-analogue of
@@ -10,7 +11,9 @@ the hook length formula,
 a polynomial with nonnegative integer coefficients whose value at 1 counts
 the standard Young tableaux of the shape.  Summed appropriately over all
 shapes, these polynomials reproduce both the flag-manifold series and the
-fiber-space numerator, which is the identity verified here.
+fiber-space numerator, which is the identity verified here.  The type-B/C
+fiber-space numerator follows from the type-A ones and q-binomials, so
+neither numerator needs the Weyl group enumerated.
 """
 
 from __future__ import annotations
@@ -93,22 +96,44 @@ class FakeDegree:
     poly: QPoly
 
 
+def _pochhammer_quotient(n: int, exps: list[int], what: str) -> list[int]:
+    """Coefficients of prod_(i<=n) (1 - q^i) / prod_(e in exps) (1 - q^e).
+
+    The series quotient through the numerator's degree is a polynomial of
+    degree <= n(n+1)/2 - sum(exps) exactly when the division is exact, so a
+    nonzero coefficient past that degree raises ValueError naming ``what``.
+    """
+    numerator = _q_pochhammer(n)
+    coeffs = numerator.coefficients_through(numerator.degree)
+    for e in exps:
+        _divide_by_factor(coeffs, e)
+    degree = numerator.degree - sum(exps)
+    if any(coeffs[degree + 1 :]):
+        raise ValueError(f"{what} is not a polynomial")
+    return coeffs[: degree + 1]
+
+
 def fake_degree(shape: tuple[int, ...]) -> FakeDegree:
     shape = tuple(shape)
     if list(shape) != sorted(shape, reverse=True) or any(p < 1 for p in shape):
         raise ValueError(f"not a partition: {shape!r}")
     shift = sum(i * part for i, part in enumerate(shape))
-    hooks = hook_lengths(shape)
-    numerator = _q_pochhammer(sum(shape))
-    coeffs = numerator.coefficients_through(numerator.degree)
-    for h in hooks:
-        _divide_by_factor(coeffs, h)
-    # the series quotient through the numerator's degree is a polynomial of
-    # degree <= deg(numerator) - sum(hooks) exactly when the division is exact
-    degree = numerator.degree - sum(hooks)
-    if any(coeffs[degree + 1 :]):
-        raise ValueError(f"hook quotient of {shape!r} is not a polynomial")
-    return FakeDegree(shape, QPoly.from_coeffs([0] * shift + coeffs[: degree + 1]))
+    coeffs = _pochhammer_quotient(
+        sum(shape), hook_lengths(shape), f"hook quotient of {shape!r}"
+    )
+    return FakeDegree(shape, QPoly.from_coeffs([0] * shift + coeffs))
+
+
+def gaussian_multinomial(parts: tuple[int, ...]) -> QPoly:
+    """The q-multinomial [n; parts]_q, n = sum(parts), as
+    prod_(i<=n) (1 - q^i) / prod_parts prod_(j<=part) (1 - q^j)."""
+    parts = tuple(parts)
+    if any(p < 0 for p in parts):
+        raise ValueError(f"negative part in {parts!r}")
+    exps = [j for part in parts for j in range(1, part + 1)]
+    return QPoly.from_coeffs(
+        _pochhammer_quotient(sum(parts), exps, f"multinomial {parts!r}")
+    )
 
 
 def count_standard_tableaux(shape: tuple[int, ...]) -> int:
@@ -154,6 +179,26 @@ def fiber_numerator_series(n: int) -> QPoly:
         fd = fake_degree(shape)
         out = out + fd.poly * fd.poly
     return out
+
+
+def signed_fiber_numerator_series(n: int) -> QPoly:
+    """Sum over bipartitions (lam, mu) of n of the squared type-B/C fake
+    degree; equals the sum of q^(fmaj(w) + fmaj(w^-1)) over the
+    hyperoctahedral group.
+
+    The fake degree of (lam, mu) with |lam| = k factors as
+    q^|mu| * [n choose k]_(q^2) * f_lam(q^2) * f_mu(q^2), so in x = q^2 the
+    sum is sum_k x^(n-k) * [n choose k]_x^2 * A_k(x) * A_(n-k)(x), with A_k
+    the type-A sum ``fiber_numerator_series(k)``.
+    """
+    type_a = [fiber_numerator_series(k) for k in range(n + 1)]
+    out = QPoly.zero()
+    for k in range(n + 1):
+        binomial = gaussian_multinomial((k, n - k))
+        out = out + (
+            QPoly.monomial(n - k) * binomial * binomial * type_a[k] * type_a[n - k]
+        )
+    return QPoly({2 * e: c for e, c in out.items()})
 
 
 def major_index_pair_series(n: int) -> QPoly:

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from comlie import poincare, repa, weylcomb
 from comlie.poincare import (
     GroupSpec,
     bcom_series,
@@ -56,6 +59,28 @@ def test_ecom_numerator_examples():
 def test_ecom_numerator_cap_error_mentions_oracle():
     with pytest.raises(GroupSizeError, match="oracle"):
         ecom_numerator(GroupSpec("u", 10))
+
+
+def test_ecom_numerator_does_not_enumerate_the_weyl_group(monkeypatch):
+    calls = []
+    original = weylcomb.pair_statistic_counts
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("comlie") and vars(module).get(
+            "pair_statistic_counts"
+        ) is original:
+            monkeypatch.setattr(module, "pair_statistic_counts", spy)
+    for module in (poincare, repa):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    assert ecom_numerator(GroupSpec("u", 9)).value_at_one() == 362880
+    assert ecom_numerator(GroupSpec("sp", 5)).value_at_one() == 3840
+    assert calls == []
 
 
 def test_bg_series_examples():

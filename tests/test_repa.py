@@ -8,6 +8,7 @@ from comlie.repa import (
     fake_degree,
     fiber_numerator_series,
     flag_series,
+    gaussian_multinomial,
     hook_lengths,
     partitions,
     partitions_max_parts,
@@ -16,6 +17,7 @@ from comlie.repa import (
     verify_fake_degree_identities,
 )
 from comlie.poincare import GroupSpec, ecom_numerator
+from comlie.weylcomb import pair_statistic_counts
 
 
 def test_partitions_counts_and_order():
@@ -92,9 +94,25 @@ def test_flag_series_small():
     assert fiber_numerator_series(3) == QPoly({0: 1, 2: 1, 3: 2, 4: 1, 6: 1})
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_fiber_numerator_matches_weyl_sum(n):
-    # the squared-character sum is the fiber numerator with q = t^2
-    halved = fiber_numerator_series(n)
-    doubled = QPoly({2 * e: c for e, c in halved.items()})
-    assert doubled == ecom_numerator(GroupSpec("u", n))
+    # the squared-character sum against the enumerated maj pair distribution
+    assert fiber_numerator_series(n) == QPoly(dict(pair_statistic_counts("sym", n)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_signed_fiber_numerator_matches_weyl_sum(n):
+    expected = {2 * stat: mult for stat, mult in pair_statistic_counts("signed", n)}
+    assert ecom_numerator(GroupSpec("sp", n)) == QPoly(expected)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_gaussian_multinomial_is_factorial_quotient(n):
+    for shape in partitions(n):
+        expected = q_factorial(n)
+        for part in shape:
+            expected = exact_div(expected, q_factorial(part))
+        assert gaussian_multinomial(shape) == expected
+    assert gaussian_multinomial((n, 0)) == QPoly.one()
+    with pytest.raises(ValueError):
+        gaussian_multinomial((n, -1))
