@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 # ``exact_div`` is unused here; perfbench/test_perfbench.py asserts that the
 # span wrappers patch this by-name binding, so it stays until that test changes.
-from .qseries import QPoly, _divide_by_factor, exact_div  # noqa: F401
+from .qseries import QPoly, _convolve, _divide_by_factor, exact_div  # noqa: F401
 from .reports import CheckReport
 # ``elements`` is unused here; perfbench/test_perfbench.py asserts that the
 # span wrappers patch this by-name binding, so it stays until that test changes.
@@ -174,11 +175,22 @@ def fiber_numerator_series(n: int) -> QPoly:
     Symmetric-group characters are rational, so no conjugation enters the
     pairing of a shape with itself.
     """
-    out = QPoly.zero()
+    # f_(lam')(q) = q^(n(n-1)/2) * f_lam(1/q) and lam -> lam' permutes the
+    # shapes, so the sum is palindromic of degree n(n-1): square each fake
+    # degree only through degree n(n-1)/2, then mirror the summed half.  A
+    # square starting past that degree adds nothing to the lower half.
+    half = n * (n - 1) // 2
+    low = [0] * (half + 1)
     for shape in partitions(n):
-        fd = fake_degree(shape)
-        out = out + fd.poly * fd.poly
-    return out
+        poly = fake_degree(shape).poly
+        shift = min(e for e, _ in poly.items())
+        if 2 * shift > half:
+            continue
+        coeffs = poly.coefficients_through(poly.degree)[shift:]
+        square = _convolve(coeffs, coeffs, half - 2 * shift)
+        end = 2 * shift + len(square)
+        low[2 * shift : end] = map(add, low[2 * shift : end], square)
+    return QPoly.from_coeffs(low + low[:half][::-1])
 
 
 def signed_fiber_numerator_series(n: int) -> QPoly:

@@ -10,7 +10,6 @@ which this module enumerates by a canonical nested-multiset form.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial
@@ -143,20 +142,28 @@ def _chains(n: int, block_counts: tuple[int, ...]):
 def chain_orbit_key(chain: Chain):
     """Canonical invariant of a chain under relabeling: the nested multiset
     of block sizes, recorded coarsest level outward.  Two chains are
-    conjugate exactly when their keys agree."""
+    conjugate exactly when their keys agree.
 
-    def key_of(block: frozenset, level: int):
-        if level == len(chain) - 1:
-            return (len(block),)
-        children = [
-            frozenset(b) for b in chain[level + 1] if frozenset(b) <= block
+    Keys are built from the finest level up: each block of the level above
+    collects the keys of the blocks that refine it, found through a map from
+    each element to the block that owns it."""
+    keys = [(len(block),) for block in chain[-1]]
+    for level in range(len(chain) - 2, -1, -1):
+        parts = chain[level]
+        owner = {x: i for i, block in enumerate(parts) for x in block}
+        children: list[list] = [[] for _ in parts]
+        for block, key in zip(chain[level + 1], keys):
+            children[owner[block[0]]].append(key)
+        keys = [
+            (len(block), tuple(sorted(kids)))
+            for block, kids in zip(parts, children)
         ]
-        return (len(block), tuple(sorted(key_of(c, level + 1) for c in children)))
-
-    return tuple(sorted(key_of(frozenset(b), 0) for b in chain[0]))
+    return tuple(sorted(keys))
 
 
 def _validate_ivals(n: int, ivals: tuple[int, ...]) -> tuple[int, ...]:
+    if n < 1:
+        raise ValueError("n must be >= 1")
     ivals = tuple(ivals)
     if not ivals:
         raise ValueError("ivals must be nonempty")
@@ -193,16 +200,28 @@ def _apply_to_chain(perm: tuple[int, ...], chain: Chain) -> Chain:
 
 
 def chain_class_count_bruteforce(n: int, ivals: tuple[int, ...]) -> int:
-    """Count classes by splitting the raw chain set into explicit orbits
-    under all n! relabelings; an independent check of the canonical form."""
+    """Count classes by splitting the raw chain set into explicit orbits; an
+    independent check of the canonical form.
+
+    Each orbit is the closure of one chain under the transposition (1 2) and
+    the n-cycle (1 2 ... n), which generate S_n, so every chain is relabeled
+    exactly twice."""
     ivals = _validate_ivals(n, ivals)
     block_counts = tuple(i + 1 for i in ivals)
-    all_chains = set(_chains(n, block_counts))
-    perms = list(itertools.permutations(range(1, n + 1)))
+    unseen = set(_chains(n, block_counts))
+    # S_1 is trivial: its one chain is its own orbit and needs no generator
+    generators = (
+        [(2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)] if n > 1 else []
+    )
     orbits = 0
-    while all_chains:
-        seed = all_chains.pop()
+    while unseen:
+        frontier = [unseen.pop()]
         orbits += 1
-        for perm in perms:
-            all_chains.discard(_apply_to_chain(perm, seed))
+        while frontier:
+            chain = frontier.pop()
+            for perm in generators:
+                image = _apply_to_chain(perm, chain)
+                if image in unseen:
+                    unseen.remove(image)
+                    frontier.append(image)
     return orbits

@@ -116,3 +116,13 @@ def test_gaussian_multinomial_is_factorial_quotient(n):
     assert gaussian_multinomial((n, 0)) == QPoly.one()
     with pytest.raises(ValueError):
         gaussian_multinomial((n, -1))
+
+
+@pytest.mark.parametrize("n", range(0, 15))
+def test_fiber_numerator_matches_full_squares(n):
+    full = QPoly.zero()
+    for shape in partitions(n):
+        poly = fake_degree(shape).poly
+        full = full + poly * poly
+    assert fiber_numerator_series(n) == full
+    assert full.is_palindromic(n * (n - 1))

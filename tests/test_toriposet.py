@@ -1,7 +1,9 @@
+import itertools
 from math import factorial
 
 import pytest
 
+from comlie import toriposet
 from comlie.qseries import QPoly
 from comlie.repa import partitions
 from comlie.toriposet import (
@@ -84,6 +86,11 @@ def test_chain_classes_validation():
         chain_classes(3, (1, 1))
     with pytest.raises(ValueError):
         chain_classes(3, (0, 3))
+    for call in (chain_classes, chain_class_count_bruteforce):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            call(0, (0,))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            call(-2, (0,))
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -116,3 +123,74 @@ def test_chain_class_type():
     cls = chain_classes(3, (1, 2))[0]
     assert isinstance(cls, ChainClass)
     assert [len(p) for p in cls.representative] == [2, 3]
+
+
+def _all_ivals(n):
+    return [
+        ivals
+        for size in range(1, n + 1)
+        for ivals in itertools.combinations(range(n), size)
+    ]
+
+
+def _orbit_count_by_full_sweep(n, ivals):
+    """Reference count: remove the images of one seed chain under all n!
+    relabelings per orbit."""
+    block_counts = tuple(i + 1 for i in ivals)
+    unseen = set(toriposet._chains(n, block_counts))
+    perms = list(itertools.permutations(range(1, n + 1)))
+    orbits = 0
+    while unseen:
+        seed = unseen.pop()
+        orbits += 1
+        for perm in perms:
+            unseen.discard(toriposet._apply_to_chain(perm, seed))
+    return orbits
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bruteforce_matches_full_permutation_sweep(n):
+    for ivals in _all_ivals(n):
+        assert chain_class_count_bruteforce(n, ivals) == _orbit_count_by_full_sweep(
+            n, ivals
+        )
+
+
+def test_bruteforce_relabels_each_chain_twice(monkeypatch):
+    calls = []
+    apply = toriposet._apply_to_chain
+
+    def counted(perm, chain):
+        calls.append(perm)
+        return apply(perm, chain)
+
+    monkeypatch.setattr(toriposet, "_apply_to_chain", counted)
+    chains = list(toriposet._chains(7, (1, 2)))
+    assert len(chains) == 63
+    assert chain_class_count_bruteforce(7, (0, 1)) == 3
+    assert len(calls) == 2 * len(chains)
+    calls.clear()
+    assert chain_class_count_bruteforce(1, (0,)) == 1
+    assert calls == []
+
+
+def _orbit_key_by_subset_scan(chain):
+    """Reference key: find each block's children by a subset test against
+    every block of the next level."""
+
+    def key_of(block, level):
+        if level == len(chain) - 1:
+            return (len(block),)
+        children = [
+            frozenset(b) for b in chain[level + 1] if frozenset(b) <= block
+        ]
+        return (len(block), tuple(sorted(key_of(c, level + 1) for c in children)))
+
+    return tuple(sorted(key_of(frozenset(b), 0) for b in chain[0]))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_key_matches_subset_scan(n):
+    for ivals in _all_ivals(n):
+        for chain in toriposet._chains(n, tuple(i + 1 for i in ivals)):
+            assert chain_orbit_key(chain) == _orbit_key_by_subset_scan(chain)
