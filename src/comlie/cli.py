@@ -86,20 +86,37 @@ def _compute_series(
     return poincare.bcom_series(group).expand(trunc)
 
 
-def _render_series(payload: dict, fmt: str) -> str:
+def _print_table(header: tuple[str, ...], records: list[tuple], fmt: str) -> None:
+    """Print ``records`` under ``header``: json as a list of objects keyed by
+    the header, csv as comma-joined rows, text as columns padded to their
+    widest cell and joined by two spaces.  A tuple cell prints joined by
+    ``+`` in csv and text."""
     if fmt == "json":
-        return _dumps(payload)
-    series = payload["series"]
-    header = (
-        f"# family={payload['family']} n={payload['n']} "
-        f"quantity={payload['quantity']} trunc={series['trunc']}"
-    )
+        print(_dumps([dict(zip(header, record)) for record in records]))
+        return
+    rows = [header] + [
+        tuple("+".join(map(str, cell)) if isinstance(cell, tuple) else str(cell)
+              for cell in record)
+        for record in records
+    ]
     if fmt == "csv":
-        lines = ["degree,coefficient"]
-        lines += [f"{d},{c}" for d, c in enumerate(series["coeffs"])]
-        return "\n".join(lines)
-    poly = QPoly.from_coeffs(series["coeffs"])
-    return f"{header}\n{poly.to_str('t')}"
+        print("\n".join(",".join(row) for row in rows))
+        return
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    print("\n".join("  ".join(cell.ljust(width) for cell, width in zip(row, widths))
+                    for row in rows))
+
+
+def _print_series(payload: dict, fmt: str) -> None:
+    series = payload["series"]
+    if fmt == "json":
+        print(_dumps(payload))
+    elif fmt == "csv":
+        _print_table(("degree", "coefficient"), list(enumerate(series["coeffs"])), fmt)
+    else:
+        print(f"# family={payload['family']} n={payload['n']} "
+              f"quantity={payload['quantity']} trunc={series['trunc']}")
+        print(QPoly.from_coeffs(series["coeffs"]).to_str("t"))
 
 
 def _read_cache(path: Path, header: dict, trunc: int) -> dict | None:
@@ -167,7 +184,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         if cache_path is not None:
             _write_cache(cache_path, _dumps(payload))
 
-    print(_render_series(payload, args.format))
+    _print_series(payload, args.format)
     return EXIT_OK
 
 
@@ -289,31 +306,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_poset(args: argparse.Namespace) -> int:
-    if args.rank is None or args.rank < 1:
+    if args.rank < 1:
         return _fail_usage("--rank must be >= 1")
-    header = ("shape", "flag_poincare", "real_dimension", "stabilizer_order")
     records = [
         (c.shape, c.flag_poincare.to_str("q"), c.real_dimension, c.stabilizer_order)
         for c in toriposet.components(args.rank)
     ]
-    if args.format == "json":
-        print(_dumps([dict(zip(header, record)) for record in records]))
-        return EXIT_OK
-    rows = [
-        ("+".join(map(str, shape)), flag, str(dim), str(order))
-        for shape, flag, dim, order in records
-    ]
-    if args.format == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(f'"{cell}"' if "," in cell else cell for cell in row))
-    else:
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(4)
-        ]
-        print("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)))
-        for row in rows:
-            print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+    _print_table(("shape", "flag_poincare", "real_dimension", "stabilizer_order"),
+                 records, args.format)
     return EXIT_OK
 
 
@@ -324,14 +324,9 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         return _fail_usage(str(exc))
     if args.maxdeg < 0:
         return _fail_usage("--maxdeg must be >= 0")
-    header = ("a", "b", "degree")
-    rows = [(a, b, 2 * (a + b))
-            for a, b in poincare.generator_catalog(family, args.maxdeg).pairs]
-    if args.format == "json":
-        print(_dumps([dict(zip(header, row)) for row in rows]))
-        return EXIT_OK
-    sep = "," if args.format == "csv" else "  "
-    print("\n".join(sep.join(map(str, row)) for row in [header, *rows]))
+    records = [(a, b, 2 * (a + b))
+               for a, b in poincare.generator_catalog(family, args.maxdeg).pairs]
+    _print_table(("a", "b", "degree"), records, args.format)
     return EXIT_OK
 
 

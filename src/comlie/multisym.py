@@ -27,10 +27,9 @@ from .repa import partitions_max_parts
 from .reports import CheckReport
 from .weylcomb import (
     GroupSizeError,
-    KINDS,
     Permutation,
     SignedPermutation,
-    WeylElement,
+    _check_kind,
     elements,
     group_order,
 )
@@ -218,7 +217,7 @@ class MultiPoly:
         return f"MultiPoly({self.to_str()})"
 
 
-def act(w: WeylElement, poly: MultiPoly) -> MultiPoly:
+def act(w: SignedPermutation, poly: MultiPoly) -> MultiPoly:
     """Diagonal substitution x_i -> (sign) x_|w(i)|, y_i -> (sign) y_|w(i)|."""
     if w.n != poly.n:
         raise ValueError("size mismatch between element and polynomial")
@@ -298,11 +297,6 @@ def signed_descent_monomial(w: SignedPermutation) -> MultiPoly:
     for i in range(1, n + 1):
         yexp[abs(w(i)) - 1] = fv[i - 1]
     return MultiPoly.monomial(n, tuple(xexp), tuple(yexp))
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
 
 
 @lru_cache(maxsize=None)
@@ -582,7 +576,9 @@ def _base_ring_weights(kind: str, n: int) -> dict[int, int]:
     return {2 * i: 2 for i in range(1, n + 1)}
 
 
-def averaged_descent_basis(kind: str, n: int) -> list[tuple[WeylElement, MultiPoly]]:
+def averaged_descent_basis(
+    kind: str, n: int
+) -> list[tuple[SignedPermutation, MultiPoly]]:
     """The group-averaged (signed) descent monomials, one per element."""
     out = []
     for w in elements(kind, n):

@@ -4,6 +4,10 @@ A signed permutation is a bijection w of {-n, ..., -1, 1, ..., n} satisfying
 w(-k) = -w(k); only the values on positive positions are stored.  Descent
 statistics compare entries in the natural integer order, so the word (1, -2)
 has a descent at position 1 because 1 > -2.
+
+``SignedPermutation`` carries every element method; ``Permutation`` is its
+subclass of positive words, the symmetric group inside the hyperoctahedral
+one, and only narrows the word check.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Union
+from typing import Iterator, TypeVar
 
 #: Largest rank accepted by :func:`elements` for plain permutations.
 SYM_ENUMERATION_CAP = 9
@@ -20,6 +24,8 @@ SYM_ENUMERATION_CAP = 9
 SIGNED_ENUMERATION_CAP = 5
 
 KINDS = ("sym", "signed")
+
+_W = TypeVar("_W", bound="SignedPermutation")
 
 
 class GroupSizeError(ValueError):
@@ -54,67 +60,12 @@ class CycleData:
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1..n} in one-line notation w(1), ..., w(n)."""
-
-    word: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
-        if sorted(word) != list(range(1, len(word) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(word)}: {word!r}")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @property
-    def n(self) -> int:
-        return len(self.word)
-
-    def __call__(self, i: int) -> int:
-        return self.word[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition: ``(self * other)(i) = self(other(i))``."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return Permutation(tuple(self.word[v - 1] for v in other.word))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.word, start=1):
-            inv[v - 1] = i
-        return Permutation(tuple(inv))
-
-    def descent_set(self) -> tuple[int, ...]:
-        """Positions 1 <= i <= n-1 with w(i) > w(i+1)."""
-        w = self.word
-        return tuple(i for i in range(1, self.n) if w[i - 1] > w[i])
-
-    def major_index(self) -> int:
-        return sum(self.descent_set())
-
-    def cycle_data(self) -> CycleData:
-        lengths = []
-        seen = [False] * self.n
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            length = 0
-            i = start
-            while not seen[i - 1]:
-                seen[i - 1] = True
-                i = self.word[i - 1]
-                length += 1
-            lengths.append(length)
-        return CycleData(tuple(lengths))
-
-
-@dataclass(frozen=True)
 class SignedPermutation:
-    """A signed permutation, stored by its values on positive positions."""
+    """A signed permutation, stored by its values on positive positions.
+
+    ``identity``, ``*`` and ``inverse`` build the class of their left (or
+    only) operand, so products of plain permutations stay plain.
+    """
 
     word: tuple[int, ...]
 
@@ -125,7 +76,7 @@ class SignedPermutation:
             raise ValueError(f"not a signed permutation word: {word!r}")
 
     @classmethod
-    def identity(cls, n: int) -> "SignedPermutation":
+    def identity(cls: type[_W], n: int) -> _W:
         return cls(tuple(range(1, n + 1)))
 
     @property
@@ -137,20 +88,20 @@ class SignedPermutation:
             return -self.word[-i - 1]
         return self.word[i - 1]
 
-    def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
+    def __mul__(self: _W, other: SignedPermutation) -> _W:
         """Composition: ``(self * other)(i) = self(other(i))``."""
         if self.n != other.n:
             raise ValueError("size mismatch")
-        return SignedPermutation(tuple(self(v) for v in other.word))
+        return type(self)(tuple(self(v) for v in other.word))
 
-    def inverse(self) -> "SignedPermutation":
+    def inverse(self: _W) -> _W:
         inv = [0] * self.n
         for i, v in enumerate(self.word, start=1):
             if v > 0:
                 inv[v - 1] = i
             else:
                 inv[-v - 1] = -i
-        return SignedPermutation(tuple(inv))
+        return type(self)(tuple(inv))
 
     def descent_set(self) -> tuple[int, ...]:
         """Positions 1 <= i <= n-1 with w(i) > w(i+1) in the integer order."""
@@ -198,23 +149,31 @@ class SignedPermutation:
         return CycleData(tuple(positive), tuple(negative))
 
 
-WeylElement = Union[Permutation, SignedPermutation]
+@dataclass(frozen=True)
+class Permutation(SignedPermutation):
+    """A permutation of {1..n} in one-line notation w(1), ..., w(n): a signed
+    permutation with no negative entry."""
+
+    def __post_init__(self) -> None:
+        word = tuple(self.word)
+        object.__setattr__(self, "word", word)
+        if sorted(word) != list(range(1, len(word) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(word)}: {word!r}")
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
 
 
 def enumeration_cap(kind: str) -> int:
-    if kind == "sym":
-        return SYM_ENUMERATION_CAP
-    if kind == "signed":
-        return SIGNED_ENUMERATION_CAP
-    raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
+    _check_kind(kind)
+    return SYM_ENUMERATION_CAP if kind == "sym" else SIGNED_ENUMERATION_CAP
 
 
 def group_order(kind: str, n: int) -> int:
-    if kind == "sym":
-        return factorial(n)
-    if kind == "signed":
-        return 2**n * factorial(n)
-    raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
+    _check_kind(kind)
+    return factorial(n) if kind == "sym" else 2**n * factorial(n)
 
 
 def _check_enumerable(kind: str, n: int) -> None:
@@ -226,7 +185,7 @@ def _check_enumerable(kind: str, n: int) -> None:
         )
 
 
-def elements(kind: str, n: int) -> Iterator[WeylElement]:
+def elements(kind: str, n: int) -> Iterator[SignedPermutation]:
     """Stream every element of the group exactly once.
 
     The order is deterministic: underlying words lexicographically, and for

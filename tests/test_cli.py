@@ -51,6 +51,8 @@ def test_series_sp1_fiber(capsys):
     assert code == 0
     assert out.splitlines()[0] == "degree,coefficient"
     assert out.splitlines()[5] == "4,1"
+    assert out == "degree,coefficient\n" + "".join(
+        f"{d},{int(d in (0, 4))}\n" for d in range(9))
 
 
 def test_series_stable(capsys):
@@ -264,6 +266,29 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert out.startswith("FAIL")
 
 
+POSET_RANK_3 = {
+    "text": (
+        "shape  flag_poincare          real_dimension  stabilizer_order\n"
+        "3      1                      0               1               \n"
+        "2+1    1 + q + q^2            4               1               \n"
+        "1+1+1  1 + 2*q + 2*q^2 + q^3  6               6               \n"
+    ),
+    "csv": (
+        "shape,flag_poincare,real_dimension,stabilizer_order\n"
+        "3,1,0,1\n"
+        "2+1,1 + q + q^2,4,1\n"
+        "1+1+1,1 + 2*q + 2*q^2 + q^3,6,6\n"
+    ),
+    "json": (
+        '[{"flag_poincare": "1", "real_dimension": 0, "shape": [3], '
+        '"stabilizer_order": 1}, {"flag_poincare": "1 + q + q^2", '
+        '"real_dimension": 4, "shape": [2, 1], "stabilizer_order": 1}, '
+        '{"flag_poincare": "1 + 2*q + 2*q^2 + q^3", "real_dimension": 6, '
+        '"shape": [1, 1, 1], "stabilizer_order": 6}]\n'
+    ),
+}
+
+
 def test_poset_table(capsys):
     code, out, _ = run(capsys, ["poset", "--rank", "3"])
     assert code == 0
@@ -273,6 +298,9 @@ def test_poset_table(capsys):
     rows = json.loads(out)
     assert {"shape": [2], "flag_poincare": "1", "real_dimension": 0,
             "stabilizer_order": 1} in rows
+    for fmt, expected in POSET_RANK_3.items():
+        assert run(capsys, ["poset", "--rank", "3", "--format", fmt]) == (
+            0, expected, "")
 
 
 def test_catalog_tables(capsys):
@@ -286,6 +314,16 @@ def test_catalog_tables(capsys):
                                 "--format", "csv"])
     assert code == 0
     assert out.splitlines()[1:] == []
+    code, out, _ = run(capsys, ["catalog", "--family", "su", "--maxdeg", "2"])
+    assert (code, out) == (0, "a  b  degree\n")
+    code, out, _ = run(capsys, ["catalog", "--family", "u", "--maxdeg", "24"])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1 + 78  # header plus one row per a + b <= 12, b >= 1
+    assert lines[0] == "a   b   degree"
+    assert lines[1] == "0   1   2     "
+    assert lines[-2] == "10  2   24    "
+    assert {len(line) for line in lines} == {14}
 
 
 def test_usage_error_from_argparse():

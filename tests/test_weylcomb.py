@@ -99,16 +99,39 @@ def test_inverse_is_involution_and_composes_to_identity(w):
     assert (w * w.inverse()).word == Permutation.identity(w.n).word
 
 
-@given(signed_permutation_strategy())
+@given(st.one_of(permutation_strategy(), signed_permutation_strategy()))
 def test_signed_inverse_composes_to_identity(w):
     assert w.inverse().inverse() == w
     assert (w * w.inverse()).word == SignedPermutation.identity(w.n).word
+    assert w * w.inverse() == w.inverse() * w == type(w).identity(w.n)
 
 
-@given(signed_permutation_strategy())
+@given(st.one_of(permutation_strategy(), signed_permutation_strategy()))
 def test_flag_major_index_two_ways(w):
     assert w.flag_major_index() == 2 * w.major_index() + w.negative_count()
     assert sum(w.flag_vector()) == w.flag_major_index()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_permutations_are_positive_signed_permutations(n):
+    assert type(Permutation.identity(n)) is Permutation
+    for w in elements("sym", n):
+        assert isinstance(w, SignedPermutation)
+        assert w.flag_major_index() == 2 * w.major_index()
+        assert w.cycle_data().negative_cycles == ()
+        assert type(w.inverse()) is Permutation
+        assert type(w * w) is Permutation
+
+
+def test_composition_across_the_two_classes():
+    # the product takes the class of its left factor, so a negative entry
+    # in a plain permutation's product is refused, not dropped
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation((1, 2)) * SignedPermutation((-1, 2))
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation((2, 1, 3)) * SignedPermutation((1, -3, 2))
+    assert Permutation((2, 1)) * SignedPermutation((2, 1)) == Permutation((1, 2))
+    assert SignedPermutation((1, 2)) * Permutation((2, 1)) == SignedPermutation((2, 1))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
