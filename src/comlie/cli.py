@@ -1,6 +1,11 @@
 """Command-line front end: compute series, run verification suites, emit
 poset and catalog tables, and cache series results as JSON.
 
+Each command imports the library modules it uses when it runs, so start-up
+loads no math module.  A ``series`` cache hit is served from the JSON file
+alone: in json and csv format it loads no other comlie module, and in text
+format only ``qseries``, to print the polynomial.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
 exceeded (retry with --oracle).
 """
@@ -8,18 +13,18 @@ exceeded (retry with --oracle).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from . import coinvariants, poincare, repa, toriposet
-from .poincare import GroupSpec, canonical_family
-from .qseries import QPoly, TruncatedSeries
-from .reports import CheckReport
-from .weylcomb import GroupSizeError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only; each command imports what it uses
+    from .poincare import GroupSpec
+    from .qseries import TruncatedSeries
+    from .reports import CheckReport
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -60,29 +65,43 @@ def _fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
-def _group_spec(group: str, rank: int | None) -> GroupSpec:
-    """The group named by --group/--rank; ValueError carries the usage error."""
-    family = canonical_family(group)
+def _checked_rank(rank: int | None) -> int:
+    """--rank of a command that names a group; ValueError carries the usage
+    error."""
     if rank is None:
         raise ValueError("--rank is required with --group")
     if rank < 1:
         raise ValueError("--rank must be >= 1")
-    return GroupSpec(family, rank)
+    return rank
+
+
+def _group_spec(group: str, rank: int | None) -> GroupSpec:
+    """The group named by --group/--rank; ValueError carries the usage error."""
+    from .families import canonical_family
+    from .poincare import GroupSpec
+
+    family = canonical_family(group)
+    return GroupSpec(family, _checked_rank(rank))
 
 
 def _compute_series(
-    what: str, family: str, group: GroupSpec | None, trunc: int, oracle: bool
+    what: str, family: str, rank: int | None, trunc: int, oracle: bool
 ) -> TruncatedSeries:
+    from . import poincare
+
     if what == "stable":
         return poincare.stable_bcom(family, trunc)
+    group = poincare.GroupSpec(family, rank)
     if what == "bg":
         return poincare.bg_series(group).expand(trunc)
-    if what == "ecom":
-        if oracle:
-            return coinvariants.oracle_ecom(group, trunc)
-        return poincare.ecom_numerator(group).truncated(trunc)
     if oracle:
+        from . import coinvariants
+
+        if what == "ecom":
+            return coinvariants.oracle_ecom(group, trunc)
         return coinvariants.oracle_bcom(group, trunc)
+    if what == "ecom":
+        return poincare.ecom_numerator(group).truncated(trunc)
     return poincare.bcom_series(group).expand(trunc)
 
 
@@ -114,22 +133,35 @@ def _print_series(payload: dict, fmt: str) -> None:
     elif fmt == "csv":
         _print_table(("degree", "coefficient"), list(enumerate(series["coeffs"])), fmt)
     else:
+        from .qseries import QPoly
+
         print(f"# family={payload['family']} n={payload['n']} "
               f"quantity={payload['quantity']} trunc={series['trunc']}")
         print(QPoly.from_coeffs(series["coeffs"]).to_str("t"))
 
 
+def _series_payload(header: dict, coeffs: list[int]) -> dict:
+    """The JSON object that ``series`` prints and caches: ``header`` and the
+    series in t with coefficients ``coeffs``, through degree len - 1."""
+    return {**header,
+            "series": {"var": "t", "trunc": len(coeffs) - 1, "coeffs": coeffs}}
+
+
 def _read_cache(path: Path, header: dict, trunc: int) -> dict | None:
     """The cached payload, or None when the file is missing, unreadable, not
     in canonical form or not the series of ``header`` through ``trunc``;
-    such a file is recomputed and overwritten."""
+    such a file is recomputed and overwritten.  Canonical form is the
+    serialisation of the payload with int coefficients, byte for byte."""
     try:
         text = path.read_text()
-        series = TruncatedSeries.from_json(json.loads(text)["series"])
+        coeffs = json.loads(text)["series"]["coeffs"]
     except (OSError, ValueError, LookupError, TypeError):
         return None
-    payload = {**header, "series": series.to_json("t")}
-    return payload if series.trunc == trunc and _dumps(payload) == text else None
+    if (type(coeffs) is not list or len(coeffs) != trunc + 1
+            or any(type(c) is not int for c in coeffs)):
+        return None
+    payload = _series_payload(header, coeffs)
+    return payload if _dumps(payload) == text else None
 
 
 def _write_cache(path: Path, text: str) -> None:
@@ -146,14 +178,15 @@ def _write_cache(path: Path, text: str) -> None:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    from .families import canonical_family
+
     try:
         family = canonical_family(args.group)
-        group = None if args.what == "stable" else _group_spec(args.group, args.rank)
+        rank = None if args.what == "stable" else _checked_rank(args.rank)
     except ValueError as exc:
         return _fail_usage(str(exc))
     if args.maxdeg < 0:
         return _fail_usage("--maxdeg must be >= 0")
-    rank = group.n if group is not None else None
 
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
     cache_path = None
@@ -169,9 +202,11 @@ def cmd_series(args: argparse.Namespace) -> int:
     payload = (_read_cache(cache_path, header, args.maxdeg)
                if cache_path is not None else None)
     if payload is None:
+        from .weylcomb import GroupSizeError
+
         try:
             series = _compute_series(
-                args.what, family, group, args.maxdeg, args.oracle
+                args.what, family, rank, args.maxdeg, args.oracle
             )
         except GroupSizeError as exc:
             print(
@@ -180,7 +215,7 @@ def cmd_series(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_CAP
-        payload = {**header, "series": series.to_json("t")}
+        payload = _series_payload(header, list(series.coeffs))
         if cache_path is not None:
             _write_cache(cache_path, _dumps(payload))
 
@@ -191,12 +226,16 @@ def cmd_series(args: argparse.Namespace) -> int:
 def _series_equal_report(
     name: str, lhs: TruncatedSeries, rhs: TruncatedSeries
 ) -> CheckReport:
+    from .reports import CheckReport
+
     mismatch = lhs.first_mismatch(rhs)
     return CheckReport(name=name, passed=mismatch is None,
                        first_mismatch=mismatch)
 
 
 def _oracle_suite(group: GroupSpec, maxdeg: int | None) -> list[CheckReport]:
+    from . import coinvariants, poincare
+
     trunc = maxdeg if maxdeg is not None else 40
     return [
         _series_equal_report(f"oracle fiber series {group.label}",
@@ -209,14 +248,15 @@ def _oracle_suite(group: GroupSpec, maxdeg: int | None) -> list[CheckReport]:
 
 
 def _product_suite(group: GroupSpec, maxdeg: int | None) -> list[CheckReport]:
+    from . import poincare
+
     trunc = maxdeg if maxdeg is not None else 40
     return [poincare.verify_product_relation(group, trunc)]
 
 
 def _basis_suite(group: GroupSpec, maxdeg: int | None) -> list[CheckReport]:
-    # imported here, so commands that skip the basis and generation suites
-    # do not load the linear-algebra module at start-up
     from . import multisym
+    from .reports import CheckReport
 
     if maxdeg is None:
         poly_deg = min(group.top_ecom_degree // 2, multisym.MAX_QUOTIENT_DEGREE)
@@ -238,6 +278,8 @@ def _generation_suite(group: GroupSpec, maxdeg: int | None) -> list[CheckReport]
 
 
 def _fakedeg_suite(group: GroupSpec, maxdeg: int | None) -> list[CheckReport]:
+    from . import repa
+
     return [repa.verify_fake_degree_identities(group.n)]
 
 
@@ -248,6 +290,8 @@ _STABLE_RANKS = {"U": ([8, 9], 16, 17), "SU": ([8, 9], 16, 17), "Sp": ([4, 5], 1
 
 
 def _stable_suite(group: GroupSpec, maxdeg: int | None) -> list[CheckReport]:
+    from . import poincare
+
     ranks, default, _ = _STABLE_RANKS[group.family]
     trunc = maxdeg if maxdeg is not None else default
     return [poincare.verify_stabilization(group.family, ranks, trunc)]
@@ -267,6 +311,10 @@ SUITES = (*VERIFY_SUITES, "all")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    import dataclasses
+
+    from .weylcomb import GroupSizeError
+
     if args.group is None:
         return _fail_usage(
             f"--group and --rank are required for --suite {args.suite}"
@@ -306,6 +354,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_poset(args: argparse.Namespace) -> int:
+    from . import toriposet
+
     if args.rank < 1:
         return _fail_usage("--rank must be >= 1")
     records = [
@@ -318,6 +368,9 @@ def cmd_poset(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
+    from . import poincare
+    from .families import canonical_family
+
     try:
         family = canonical_family(args.family)
     except ValueError as exc:

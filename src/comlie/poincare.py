@@ -18,21 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+# FAMILIES is re-exported: the family table lives in ``families``
+from .families import FAMILIES, canonical_family  # noqa: F401
 from .qseries import QPoly, RationalSeries, TruncatedSeries, product_series
 from .repa import fiber_numerator_series, signed_fiber_numerator_series
 from .reports import CheckReport
 from .weylcomb import _check_enumerable, group_order
-
-FAMILIES = ("U", "SU", "Sp")
-
-_CANONICAL_FAMILY = {"u": "U", "su": "SU", "sp": "Sp"}
-
-
-def canonical_family(family: str) -> str:
-    try:
-        return _CANONICAL_FAMILY[family.lower()]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
 
 
 @dataclass(frozen=True)

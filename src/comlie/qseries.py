@@ -216,16 +216,6 @@ class TruncatedSeries:
         self._check_trunc(other)
         return TruncatedSeries(tuple(_convolve(self.coeffs, other.coeffs, self.trunc)))
 
-    def to_json(self, var: str = "t") -> dict:
-        return {"var": var, "trunc": self.trunc, "coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "TruncatedSeries":
-        coeffs = payload["coeffs"]
-        if payload.get("trunc") != len(coeffs) - 1:
-            raise ValueError("inconsistent trunc/coeffs in serialized series")
-        return cls(tuple(int(c) for c in coeffs))
-
     def __repr__(self) -> str:
         return f"TruncatedSeries(trunc={self.trunc}, coeffs={list(self.coeffs)})"
 

@@ -103,8 +103,12 @@ def set_partitions_with_blocks(items: tuple[int, ...], num_blocks: int):
 
 def refinements_with_blocks(partition: SetPartition, num_blocks: int):
     """Set partitions with ``num_blocks`` blocks refining ``partition``,
-    obtained by splitting each block independently."""
+    obtained by splitting each block independently.
+
+    Each block's splits into k parts are listed once per call and reused for
+    every split of the blocks before it."""
     blocks = list(partition)
+    splits: dict[tuple[int, int], list[SetPartition]] = {}
 
     def rec(idx: int, needed: int, acc: list[tuple[int, ...]]):
         if idx == len(blocks):
@@ -114,7 +118,9 @@ def refinements_with_blocks(partition: SetPartition, num_blocks: int):
         remaining_blocks = len(blocks) - idx - 1
         block = blocks[idx]
         for k in range(1, min(needed - remaining_blocks, len(block)) + 1):
-            for sub in set_partitions_with_blocks(block, k):
+            if (idx, k) not in splits:
+                splits[idx, k] = list(set_partitions_with_blocks(block, k))
+            for sub in splits[idx, k]:
                 yield from rec(idx + 1, needed - k, acc + list(sub))
 
     yield from rec(0, num_blocks, [])

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from comlie import cli
+from comlie import cli, poincare
 from comlie.reports import CheckReport
 
 
@@ -117,12 +117,27 @@ def test_corrupt_cache_file_is_recomputed(capsys, tmp_path):
     (cache_file,) = tmp_path.iterdir()
     canonical = cache_file.read_text()
     payload = json.loads(canonical)
-    short = dict(payload["series"], coeffs=payload["series"]["coeffs"][:5])
+    series = payload["series"]
+    coeffs = series["coeffs"]
+
+    def with_series(**changes):
+        return cli._dumps(dict(payload, series=dict(series, **changes)))
+
     malformed = [
         canonical[:20],
         '{"a": 1}',
-        cli._dumps(dict(payload, series=short)),
+        with_series(coeffs=coeffs[:5]),
         cli._dumps(dict(payload, family="U")),
+        with_series(coeffs=[float(c) for c in coeffs]),
+        with_series(coeffs=[str(c) for c in coeffs]),
+        with_series(coeffs=[bool(c) for c in coeffs]),
+        with_series(coeffs=[float("inf")] * len(coeffs)),
+        with_series(trunc=series["trunc"] - 1),
+        with_series(trunc=series["trunc"] + 1),
+        with_series(var="q"),
+        cli._dumps(dict(payload, extra=1)),
+        cli._dumps(dict(payload, series=coeffs)),
+        cli._dumps(dict(payload, series=canonical)),
     ]
     for text in malformed:
         for fmt, expected in fresh.items():
@@ -257,7 +272,7 @@ def test_verify_sp3_default_basis_degree_within_cap(capsys):
 def test_verify_failure_exit_code(capsys, monkeypatch):
     failing = CheckReport(name="forced", passed=False, detail="forced failure")
     monkeypatch.setattr(
-        cli.poincare, "verify_product_relation", lambda group, trunc: failing
+        poincare, "verify_product_relation", lambda group, trunc: failing
     )
     code, out, _ = run(
         capsys, ["verify", "--suite", "product", "--group", "u", "--rank", "2"]
@@ -332,13 +347,60 @@ def test_usage_error_from_argparse():
     assert excinfo.value.code == 2
 
 
-def test_cli_import_leaves_multisym_unloaded():
+MATH_MODULES = {f"comlie.{name}" for name in (
+    "poincare", "coinvariants", "qseries", "repa", "toriposet", "weylcomb",
+    "multisym")}
+
+_FOOTPRINT_PROBE = """
+import json, sys
+import comlie.cli
+argv = json.loads(sys.argv[1])
+if argv is not None:
+    try:
+        comlie.cli.main(argv)
+    except SystemExit:
+        pass
+sys.stderr.write(json.dumps(sorted(sys.modules)))
+"""
+
+
+def _math_modules_loaded(argv: list[str] | None) -> set[str]:
+    """Math modules a fresh interpreter holds after importing comlie.cli and,
+    unless ``argv`` is None, running the command ``argv``."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, comlie.cli; print('comlie.multisym' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    env.pop(cli.CACHE_ENV_VAR, None)
+    result = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_PROBE, json.dumps(argv)], env=env,
+        capture_output=True, text=True, check=True)
+    return MATH_MODULES.intersection(json.loads(result.stderr))
+
+
+def test_cli_import_leaves_multisym_unloaded():
+    assert _math_modules_loaded(None) == set()
+    assert _math_modules_loaded(["--version"]) == set()
+
+
+@pytest.mark.parametrize("fmt, loaded", [
+    ("json", set()), ("csv", set()), ("text", {"comlie.qseries"}),
+])
+def test_cache_hit_reads_json_without_the_math_modules(capsys, tmp_path, fmt,
+                                                       loaded):
+    argv = ["series", "--group", "sp", "--rank", "2", "--what", "bcom",
+            "--maxdeg", "16", "--format", fmt, "--cache-dir", str(tmp_path)]
+    assert run(capsys, argv)[0] == 0
+    (cache_file,) = tmp_path.iterdir()
+    written = cache_file.stat().st_mtime_ns
+    assert _math_modules_loaded(argv) == loaded
+    assert cache_file.stat().st_mtime_ns == written
+
+
+def test_closed_form_miss_loads_no_oracle_poset_or_linear_algebra():
+    loaded = _math_modules_loaded(["series", "--group", "u", "--rank", "4",
+                                   "--what", "bcom", "--maxdeg", "20"])
+    assert "comlie.poincare" in loaded
+    assert not loaded & {"comlie.coinvariants", "comlie.toriposet",
+                         "comlie.multisym"}
 
 
 def _readme_examples() -> list[tuple[list[str], list[str]]]:

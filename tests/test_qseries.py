@@ -137,15 +137,6 @@ def test_exact_div():
         exact_div(QPoly.one(), QPoly.zero())
 
 
-def test_json_round_trip():
-    series = TruncatedSeries((1, 0, 2, 5))
-    payload = series.to_json()
-    assert payload == {"var": "t", "trunc": 3, "coeffs": [1, 0, 2, 5]}
-    assert TruncatedSeries.from_json(payload) == series
-    with pytest.raises(ValueError):
-        TruncatedSeries.from_json({"var": "t", "trunc": 7, "coeffs": [1]})
-
-
 @given(qpoly_strategy(), qpoly_strategy(), qpoly_strategy())
 def test_ring_axioms(p, q, r):
     assert p + q == q + p

@@ -70,6 +70,59 @@ def test_refinements_with_blocks():
     assert chained == [((1,), (2,), (3,))]
 
 
+def _refinements_by_resplitting(partition, num_blocks):
+    """Reference: split the first block, then list the refinements of the
+    rest again for each of its splits."""
+    if not partition:
+        if num_blocks == 0:
+            yield ()
+        return
+    first, rest = partition[0], partition[1:]
+    for k in range(1, min(num_blocks - len(rest), len(first)) + 1):
+        for sub in set_partitions_with_blocks(first, k):
+            for tail in _refinements_by_resplitting(rest, num_blocks - k):
+                yield tuple(sorted(sub + tail))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_refinements_match_resplitting_in_order(n):
+    items = tuple(range(1, n + 1))
+    for size in range(1, n + 1):
+        for partition in set_partitions_with_blocks(items, size):
+            for num_blocks in range(size, n + 1):
+                assert list(refinements_with_blocks(partition, num_blocks)) == list(
+                    _refinements_by_resplitting(partition, num_blocks))
+
+
+def test_refinements_split_each_block_once_per_block_count(monkeypatch):
+    split = toriposet.set_partitions_with_blocks
+    refine = toriposet.refinements_with_blocks
+    calls = []
+    visited = bound = 0
+
+    def counted_split(items, k):
+        calls.append((items, k))
+        return split(items, k)
+
+    def listed_refine(partition, num_blocks):
+        nonlocal visited, bound
+        start = len(calls)
+        out = list(refine(partition, num_blocks))
+        pairs = calls[start:]
+        assert len(pairs) == len(set(pairs)), partition
+        visited += len(pairs)
+        bound += sum(min(len(block), num_blocks) for block in partition)
+        return iter(out)
+
+    monkeypatch.setattr(toriposet, "set_partitions_with_blocks", counted_split)
+    monkeypatch.setattr(toriposet, "refinements_with_blocks", listed_refine)
+    chains = list(toriposet._chains(6, (1, 2, 3, 4, 5, 6)))
+    assert len(chains) == 2700
+    # one call lists the first level; every other one splits a (block, k)
+    # pair that some refinements_with_blocks call visited, and only once
+    assert len(calls) == 1 + visited <= 1 + bound
+
+
 def test_chain_classes_examples():
     assert len(chain_classes(2, (0, 1))) == 1
     assert len(chain_classes(4, (1,))) == 2
