@@ -5,9 +5,18 @@ The group acts on Q[x_1..x_n, y_1..y_n] by x_i -> (+/-) x_|w(i)|,
 y_i -> (+/-) y_|w(i)| simultaneously.  Graded pieces of the invariant ring
 are coordinatized by orbit sums of monomials: a monomial is recorded as the
 multiset of its per-slot exponent pairs (a_i, b_i), and for the signed group
-only multisets with every a_i + b_i even survive averaging.  Ideal quotients
-and basis checks then reduce to exact rank computations in these
-coordinates.
+only multisets with every a_i + b_i even survive averaging.
+
+Rows that are an orbit sum times power sums are built in these coordinates
+without expanding a polynomial: for the orbit sum m_A and a distinct pair v
+of A, let C be A with one copy of v raised by (a, b); then
+m_A * p_(a,b) = sum over v of mult_C(v + (a, b)) * m_C.  Ideal quotients
+and power-sum generation use this rule alone.  The group average of a
+monomial is its orbit sum over the orbit size, or zero for the signed group
+when some pair degree is odd, so the descent basis needs no enumeration of
+the group per monomial; ``act`` and ``average`` remain as the reference.
+Free-basis products of three orbit sums are still ``MultiPoly`` products.
+Every check reduces to exact rank computations in orbit-sum coordinates.
 
 All polynomial degrees here are plain degrees of polynomials; the doubling
 to cohomological degree happens in callers.
@@ -347,6 +356,41 @@ def orbit_sum(n: int, rep: OrbitRep) -> MultiPoly:
     return MultiPoly(n, terms)
 
 
+def _pair_order(pair: Pair) -> Pair:
+    """Sort key of exponent pairs; representatives list their pairs by
+    (a + b, a) descending."""
+    return (pair[0] + pair[1], pair[0])
+
+
+def _times_power_sum(rep: OrbitRep, gen: Pair) -> list[tuple[OrbitRep, int]]:
+    """The orbit sum of ``rep`` times the power sum p_gen, in orbit-sum
+    coordinates: for each distinct pair v of the representative, the
+    representative C with one copy of v raised by ``gen``, with the
+    multiplicity of the raised pair in C as its coefficient."""
+    a, b = gen
+    out = []
+    for i, v in enumerate(rep):
+        if i and rep[i - 1] == v:  # equal pairs are adjacent
+            continue
+        raised = (v[0] + a, v[1] + b)
+        # the raised pair sorts before v, so it only moves left
+        key = _pair_order(raised)
+        j = i
+        while j and _pair_order(rep[j - 1]) < key:
+            j -= 1
+        c = rep[:j] + (raised,) + rep[j:i] + rep[i + 1:]
+        out.append((c, c.count(raised)))
+    return out
+
+
+def _dense_row(coords, column: dict[OrbitRep, int]) -> list[int]:
+    """A dense coordinate row from (representative, coefficient) items."""
+    row = [0] * len(column)
+    for c, coeff in coords:
+        row[column[c]] = coeff
+    return row
+
+
 @lru_cache(maxsize=64)
 def _rep_keys(reps: tuple[OrbitRep, ...]) -> tuple[ExpKey, ...]:
     """The term key of each representative monomial."""
@@ -363,6 +407,12 @@ def invariant_coordinates(
     return list(map(poly.terms.get, _rep_keys(reps), itertools.repeat(0)))
 
 
+@lru_cache(maxsize=64)
+def _columns(kind: str, n: int, degree: int) -> dict[OrbitRep, int]:
+    """Column index of each orbit representative in a degree."""
+    return {r: j for j, r in enumerate(monomial_orbit_reps(kind, n, degree))}
+
+
 def _integer_rows(rows: list[list[Coeff]]) -> list[dict[int, int]]:
     """The nonzero rows as sparse integer rows {column: entry}, each scaled
     by the lcm of its denominators (which leaves the rank unchanged)."""
@@ -374,8 +424,10 @@ def _integer_rows(rows: list[list[Coeff]]) -> list[dict[int, int]]:
     return out
 
 
-def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
-    """Rank of sparse integer rows modulo the prime ``p``.
+def _rank_mod(rows: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
+    """Echelon form of sparse integer rows modulo the prime ``p``: pivot
+    rows by pivot column, each 1 there and zero to its left.  Their number
+    is the rank mod p.
 
     Each row is reduced by the stored pivot rows, always at its leftmost
     entry, until it vanishes or starts in a new pivot column.
@@ -397,7 +449,71 @@ def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
                     work[j] = x
                 else:
                     del work[j]
-    return len(pivots)
+    return pivots
+
+
+def _rational_residue(y: int, p: int) -> tuple[int, int] | None:
+    """A fraction a/b with a = b * y mod p and |a|, b at most sqrt(p/2), or
+    None: Wang's rational reconstruction, by the extended Euclidean
+    algorithm on (p, y).  A residue of a small integer a comes back as
+    (a, 1) within one step."""
+    bound = math.isqrt(p // 2)
+    r0, r1, s0, s1 = p, y, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if not 0 < abs(s1) <= bound:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _kernel_certified(
+    rows: list[dict[int, int]], pivots: dict[int, dict[int, int]], p: int
+) -> bool:
+    """Whether the kernel of the echelon form mod p lifts to a kernel over Q.
+
+    Back substitution reduces each pivot row to its entries in the free
+    columns.  For each free column f, the kernel vector mod p has 1 at f,
+    0 at the other free columns and minus those entries at the pivots; its
+    entries are lifted to small fractions (``_rational_residue``), the
+    vector is scaled to integers by their common denominator and checked
+    against every row exactly.  These cols - r vectors are independent, so
+    if all of them pass, the rank over Q is at most r = len(pivots); r is
+    also a lower bound.
+    """
+    reduced: dict[int, dict[int, int]] = {}  # pivot -> {free column: entry}
+    for c in sorted(pivots, reverse=True):
+        acc: dict[int, int] = {}
+        for j, x in pivots[c].items():
+            if j in reduced:  # a pivot right of c
+                for f, y in reduced[j].items():
+                    acc[f] = (acc.get(f, 0) - x * y) % p
+            elif j != c:
+                acc[j] = (acc.get(j, 0) + x) % p
+        reduced[c] = {f: y for f, y in acc.items() if y}
+    fractions: dict[int, dict[int, tuple[int, int]]] = {}
+    scale: dict[int, int] = {}  # free column f -> denominator of vector f
+    for c, entries in reduced.items():
+        fractions[c] = {}
+        for f, y in entries.items():
+            frac = _rational_residue(p - y, p)
+            if frac is None:
+                return False
+            fractions[c][f] = frac
+            scale[f] = math.lcm(scale.get(f, 1), frac[1])
+    lifted = {c: {f: a * (scale[f] // b) for f, (a, b) in entries.items()}
+              for c, entries in fractions.items()}
+    for row in rows:
+        acc = {}
+        for j, x in row.items():
+            if j in lifted:
+                for f, y in lifted[j].items():
+                    acc[f] = acc.get(f, 0) + x * y
+            else:
+                acc[j] = acc.get(j, 0) + x * scale.get(j, 1)
+        if any(acc.values()):
+            return False
+    return True
 
 
 def _hadamard_square(rows: list[dict[int, int]], k: int) -> int:
@@ -413,11 +529,13 @@ def exact_rank(rows: list[list[Coeff]]) -> int:
 
     The rows are scaled to integers and eliminated modulo the primes of
     ``_PRIMES``.  Reduction mod p never raises the rank, so a rank mod p
-    equal to min(rows, columns) is the rank over Q.  A smaller largest rank
-    r is exact once the product of the primes tried exceeds the Hadamard
-    bound on the (r+1)-minors: a nonzero such minor would be divisible by
-    every one of those primes.  If the primes run out first, the answer
-    comes from ``fraction_rank``.
+    equal to min(rows, columns) is the rank over Q.  A smaller rank r is
+    exact when the kernel of the echelon form mod p lifts to a kernel over Q
+    (``_kernel_certified``), which is tried once for each new largest rank.
+    Otherwise the largest rank r is exact once the product of the primes
+    tried exceeds the Hadamard bound on the (r+1)-minors: a nonzero such
+    minor would be divisible by every one of those primes.  If the primes
+    run out first, the answer comes from ``fraction_rank``.
     """
     int_rows = _integer_rows(rows)
     if not int_rows:
@@ -426,10 +544,13 @@ def exact_rank(rows: list[list[Coeff]]) -> int:
     rank = -1
     modulus = 1
     for p in _PRIMES:
-        r = _rank_mod(int_rows, p)
+        pivots = _rank_mod(int_rows, p)
+        r = len(pivots)
         if r == full:
             return r
         if r > rank:
+            if _kernel_certified(int_rows, pivots, p):
+                return r
             rank = r
             bound = _hadamard_square(int_rows, r + 1)
         modulus *= p
@@ -502,6 +623,11 @@ def ecom_ideal(family: str, n: int) -> IdealSpec:
 
 def _check_feasible(kind: str, n: int, max_degree: int) -> None:
     _check_kind(kind)
+    if n < 1 or max_degree < 0:
+        raise ValueError(
+            f"graded linear algebra needs n >= 1 and degree >= 0; "
+            f"got n={n}, degree={max_degree}"
+        )
     if n > QUOTIENT_CAPS[kind] or max_degree > MAX_QUOTIENT_DEGREE:
         raise GroupSizeError(
             f"graded linear algebra supports n <= {QUOTIENT_CAPS[kind]} for "
@@ -524,17 +650,26 @@ def quotient_graded_dims(
         raise ValueError("signed quotients need even-degree generators")
     dims: GradedDims = {}
     for d in range(max_degree + 1):
-        reps_d = monomial_orbit_reps(kind, n, d)
-        rows = []
-        for a, b in ideal.generators:
-            e = a + b
-            if e > d:
-                continue
-            gen = power_sum(n, a, b)
-            for rep in monomial_orbit_reps(kind, n, d - e):
-                rows.append(invariant_coordinates(orbit_sum(n, rep) * gen, reps_d))
-        dims[d] = len(reps_d) - exact_rank(rows)
+        rows = _quotient_rows(kind, n, ideal.generators, d)
+        dims[d] = len(_columns(kind, n, d)) - exact_rank(rows)
     return dims
+
+
+def _quotient_rows(
+    kind: str, n: int, generators: tuple[Pair, ...], degree: int
+) -> list[list[int]]:
+    """The degree-``degree`` multiples m_A * p_gen of the generators, in
+    orbit-sum coordinates: for each generator, one row per representative A
+    of the complementary degree."""
+    column = _columns(kind, n, degree)
+    rows = []
+    for gen in generators:
+        e = gen[0] + gen[1]
+        if e > degree:
+            continue
+        for rep in monomial_orbit_reps(kind, n, degree - e):
+            rows.append(_dense_row(_times_power_sum(rep, gen), column))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -576,14 +711,45 @@ def _base_ring_weights(kind: str, n: int) -> dict[int, int]:
     return {2 * i: 2 for i in range(1, n + 1)}
 
 
-def averaged_descent_basis(
+def _monomial_rep(kind: str, mono: MultiPoly) -> OrbitRep | None:
+    """The orbit representative of a monomial, or None when its group
+    average vanishes: a signed monomial with an odd pair degree, which a
+    sign flip negates."""
+    ((xexp, yexp),) = mono.terms
+    pairs = tuple(zip(xexp, yexp))
+    if kind == "signed" and any((a + b) % 2 for a, b in pairs):
+        return None
+    return tuple(sorted(pairs, key=_pair_order, reverse=True))
+
+
+def _descent_reps(
     kind: str, n: int
-) -> list[tuple[SignedPermutation, MultiPoly]]:
-    """The group-averaged (signed) descent monomials, one per element."""
+) -> list[tuple[SignedPermutation, OrbitRep | None]]:
+    """Each element with the orbit representative of its (signed) descent
+    monomial, None where the monomial averages to zero."""
     out = []
     for w in elements(kind, n):
         mono = descent_monomial(w) if kind == "sym" else signed_descent_monomial(w)
-        out.append((w, average(kind, mono)))
+        out.append((w, _monomial_rep(kind, mono)))
+    return out
+
+
+def averaged_descent_basis(
+    kind: str, n: int
+) -> list[tuple[SignedPermutation, MultiPoly]]:
+    """The group-averaged (signed) descent monomials, one per element.
+
+    The average of a monomial is its orbit sum divided by the orbit size,
+    except that a signed monomial with an odd pair degree averages to zero.
+    """
+    out = []
+    for w, rep in _descent_reps(kind, n):
+        if rep is None:
+            out.append((w, MultiPoly.zero(n)))
+            continue
+        terms = orbit_sum(n, rep).terms
+        out.append((w, _wrap_terms(n, dict.fromkeys(
+            terms, _coeff(Fraction(1, len(terms)))))))
     return out
 
 
@@ -596,11 +762,15 @@ def verify_free_basis(kind: str, n: int, max_degree: int) -> BasisReport:
     piece, and the corresponding Hilbert series identity holds.
     """
     _check_feasible(kind, n, max_degree)
-    basis = averaged_descent_basis(kind, n)
-    degrees = tuple(sorted(poly.total_degree() for _, poly in basis))
-    if any(poly.is_zero() for _, poly in basis):
-        return BasisReport(kind, n, False, len(basis), degrees,
+    reps = [rep for _, rep in _descent_reps(kind, n)]
+    degrees = tuple(sorted(-1 if rep is None else sum(map(sum, rep))
+                           for rep in reps))
+    if None in reps:
+        return BasisReport(kind, n, False, len(reps), degrees,
                            "an averaged descent monomial vanished")
+    # the primitive orbit sums: each averaged monomial times its orbit size,
+    # which scales rows by nonzero constants and leaves every rank as it is
+    basis = [(sum(map(sum, rep)), orbit_sum(n, rep)) for rep in reps]
 
     degree_counts: dict[int, int] = {}
     for d in degrees:
@@ -618,16 +788,17 @@ def verify_free_basis(kind: str, n: int, max_degree: int) -> BasisReport:
                 f"{predicted.coeffs[d]} != {len(reps_d)}",
             )
         products = []
-        for _, bpoly in basis:
-            bdeg = bpoly.total_degree()
+        for bdeg, bpoly in basis:
             if bdeg > d:
                 continue
             for ex in range(d - bdeg + 1):
-                ey = d - bdeg - ex
+                lam_ys = _block_exponents(kind, n, d - bdeg - ex)
+                if not lam_ys:
+                    continue
                 for lam_x in _block_exponents(kind, n, ex):
-                    px = _block_poly(n, lam_x, "x")
-                    for lam_y in _block_exponents(kind, n, ey):
-                        products.append(bpoly * px * _block_poly(n, lam_y, "y"))
+                    bx = bpoly * _block_poly(n, lam_x, "x")
+                    for lam_y in lam_ys:
+                        products.append(bx * _block_poly(n, lam_y, "y"))
         if len(products) != len(reps_d):
             return BasisReport(
                 kind, n, False, len(basis), degrees,
@@ -659,33 +830,46 @@ def generation_generators(kind: str, n: int, max_degree: int) -> tuple[Pair, ...
     )
 
 
+def _generation_rows(
+    kind: str, n: int, gens: tuple[Pair, ...], degree: int
+) -> list[list[int]]:
+    """The degree-``degree`` monomials in the power sums ``gens``, in
+    orbit-sum coordinates, one row per multiset of generators, listed by
+    nondecreasing generator index."""
+    column = _columns(kind, n, degree)
+    gen_degrees = [a + b for a, b in gens]
+    rows: list[list[int]] = []
+
+    def rec(idx: int, remaining: int, acc: dict[OrbitRep, int]) -> None:
+        if remaining == 0:
+            rows.append(_dense_row(acc.items(), column))
+            return
+        for i in range(idx, len(gens)):
+            if gen_degrees[i] <= remaining:
+                product: dict[OrbitRep, int] = {}
+                for rep, coeff in acc.items():
+                    for c, mult in _times_power_sum(rep, gens[i]):
+                        product[c] = product.get(c, 0) + coeff * mult
+                rec(i, remaining - gen_degrees[i], product)
+
+    rec(0, degree, {((0, 0),) * n: 1})
+    return rows
+
+
 def verify_power_sum_generation(kind: str, n: int, max_degree: int) -> CheckReport:
     """Check degree by degree that monomials in the designated power sums
     span the invariant ring."""
     _check_feasible(kind, n, max_degree)
     gens = generation_generators(kind, n, max_degree)
-    polys = [power_sum(n, a, b) for a, b in gens]
-    gen_degrees = [a + b for a, b in gens]
-
     for d in range(max_degree + 1):
-        reps_d = monomial_orbit_reps(kind, n, d)
-        rows: list[list[Coeff]] = []
-
-        def rec(idx: int, remaining: int, acc: MultiPoly) -> None:
-            if remaining == 0:
-                rows.append(invariant_coordinates(acc, reps_d))
-                return
-            for i in range(idx, len(polys)):
-                if gen_degrees[i] <= remaining:
-                    rec(i, remaining - gen_degrees[i], acc * polys[i])
-
-        rec(0, d, MultiPoly.one(n))
+        rows = _generation_rows(kind, n, gens, d)
         rank = exact_rank(rows)
-        if rank != len(reps_d):
+        dim = len(_columns(kind, n, d))
+        if rank != dim:
             return CheckReport(
                 name=f"power sum generation kind={kind} n={n}",
                 passed=False,
-                detail=f"degree {d}: span has rank {rank} of {len(reps_d)}",
+                detail=f"degree {d}: span has rank {rank} of {dim}",
                 first_mismatch=d,
             )
     return CheckReport(

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from comlie.multisym import (
     verify_free_basis,
     verify_power_sum_generation,
 )
-from comlie.poincare import GroupSpec
+from comlie.poincare import GroupSpec, bcom_series, ecom_numerator
 from comlie.weylcomb import (
     GroupSizeError,
     Permutation,
@@ -273,19 +274,78 @@ def test_multiples_of_the_first_prime_use_more_primes(rows, k):
     assert [c[1] for c in calls[:2]] == list(multisym._PRIMES[:2])
 
 
-@given(_deficient(st.integers(2**400, 2**401), max_dim=4))
+@st.composite
+def _unliftable(draw, entries=st.integers(2**400, 2**401), max_dim=4):
+    """A product A [I_k | U] with A of full column rank k below its m rows
+    and U a k x c block.  The kernel is spanned by the columns of [-U; I],
+    unique given its free columns and with entries beyond every prime, so
+    no kernel vector mod p lifts; and the rows are too long for the
+    Hadamard bound to fit under the primes."""
+    k = draw(st.integers(1, max_dim - 1))
+    m = draw(st.integers(k + 1, max_dim))
+    c = draw(st.integers(1, max_dim - k))
+    a = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                      min_size=m, max_size=m))
+    assume(fraction_rank(a) == k)
+    u = draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+                      min_size=k, max_size=k))
+    return _product(a, [[int(i == j) for j in range(k)] + u[i]
+                        for i in range(k)])
+
+
+@given(_unliftable())
 def test_bound_beyond_the_primes_falls_back_to_fractions(rows):
     with _spy("fraction_rank") as calls:
         rank = exact_rank(rows)
     assert len(calls) == 1
-    assert rank == fraction_rank(rows)
+    assert rank == fraction_rank(rows) < len(rows[0])
+
+
+@given(_deficient(st.integers(2**400, 2**401), max_dim=4))
+def test_small_kernels_certify_huge_deficient_ranks(rows):
+    # equal or proportional columns give kernel vectors with small entries;
+    # whichever way the rank is proven, it is the rank over Q
+    assert exact_rank(rows) == fraction_rank(rows)
+
+
+@pytest.mark.parametrize("half", [False, True])
+def test_kernel_certificate_proves_a_rank_with_one_prime(half):
+    # the third column is the sum of the first two, or half of it, so the
+    # kernel vector is (-1, -1, 1) or (-1/2, -1/2, 1); the entries are far
+    # beyond the Hadamard reach of one prime
+    big = 2**300
+    rows = [[big + i, 3 * big - i, 4 * big] for i in range(5)]
+    if half:
+        rows = [[2 * a, 2 * b, c] for a, b, c in rows]
+    with _spy("_rank_mod") as calls, _spy("fraction_rank") as fallback:
+        assert exact_rank(rows) == 2
+    assert len(calls) == 1 and fallback == []
+
+
+def _closed_form_dims(family, n, ideal, max_degree):
+    """Quotient dimensions predicted by the closed-form E_com G numerator
+    or B_com G series, whose exponents are doubled polynomial degrees."""
+    group = GroupSpec(family, n)
+    if ideal is ecom_ideal:
+        coeffs = ecom_numerator(group).coefficients_through(2 * max_degree)
+    else:
+        coeffs = bcom_series(group).expand(2 * max_degree).coeffs
+    return {d: coeffs[2 * d] for d in range(max_degree + 1)}
 
 
 def test_quotient_ranks_are_certified_without_fractions():
-    with _spy("fraction_rank") as calls:
-        dims = quotient_graded_dims("sym", 3, ecom_ideal("u", 3), 9)
-    assert calls == []
-    assert dims == {0: 1, 1: 0, 2: 1, 3: 2, 4: 1, 5: 0, 6: 1, 7: 0, 8: 0, 9: 0}
+    # the rank-4 quotients are rank-deficient far beyond the Hadamard reach
+    # of the primes
+    cases = [("u", 3, ecom_ideal, 9), ("u", 4, ecom_ideal, 10),
+             ("u", 4, ecom_ideal, 12), ("u", 4, bcom_ideal, 12),
+             ("su", 4, bcom_ideal, 12)]
+    for family, n, ideal, max_degree in cases:
+        with _spy("fraction_rank") as calls:
+            dims = quotient_graded_dims("sym", n, ideal(family, n), max_degree)
+        assert calls == [], (family, n, max_degree)
+        assert dims == _closed_form_dims(family, n, ideal, max_degree)
+    assert quotient_graded_dims("sym", 3, ecom_ideal("u", 3), 9) == {
+        0: 1, 1: 0, 2: 1, 3: 2, 4: 1, 5: 0, 6: 1, 7: 0, 8: 0, 9: 0}
 
 
 def test_integral_coefficients_stay_ints():
@@ -331,8 +391,6 @@ def test_quotient_base_ideal_u2_matches_series_expansion():
 
 
 def test_quotient_base_ideal_su2_matches_series_expansion():
-    from comlie.poincare import bcom_series
-
     dims = quotient_graded_dims("sym", 2, bcom_ideal("su", 2), 4)
     expansion = bcom_series(GroupSpec("su", 2)).expand(8)
     assert dims == {d: expansion.coeffs[2 * d] for d in range(5)}
@@ -375,3 +433,123 @@ def test_averaged_basis_is_invariant():
     for _, poly in averaged_descent_basis("signed", 2):
         for w in elements("signed", 2):
             assert act(w, poly) == poly
+
+
+def _expanded_quotient_rows(kind, n, generators, d):
+    """Quotient rows by expanding each orbit sum times power sum and reading
+    back its coordinates."""
+    reps_d = monomial_orbit_reps(kind, n, d)
+    rows = []
+    for a, b in generators:
+        if a + b > d:
+            continue
+        gen = power_sum(n, a, b)
+        for rep in monomial_orbit_reps(kind, n, d - a - b):
+            rows.append(invariant_coordinates(orbit_sum(n, rep) * gen, reps_d))
+    return rows
+
+
+def _expanded_generation_rows(kind, n, gens, d):
+    """Generation rows by expanding each power-sum monomial."""
+    reps_d = monomial_orbit_reps(kind, n, d)
+    polys = [power_sum(n, a, b) for a, b in gens]
+    rows = []
+
+    def rec(idx, remaining, acc):
+        if remaining == 0:
+            rows.append(invariant_coordinates(acc, reps_d))
+            return
+        for i in range(idx, len(gens)):
+            if sum(gens[i]) <= remaining:
+                rec(i, remaining - sum(gens[i]), acc * polys[i])
+
+    rec(0, d, MultiPoly.one(n))
+    return rows
+
+
+ROW_CASES = [("sym", n) for n in (1, 2, 3, 4)] + [("signed", n) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("kind, n", ROW_CASES)
+def test_quotient_rows_match_expanded_products(kind, n):
+    step = 2 if kind == "signed" else 1
+    gens = tuple((a, e - a) for e in range(step, 9, step) for a in range(e + 1))
+    for d in range(9):
+        rows = multisym._quotient_rows(kind, n, gens, d)
+        assert rows == _expanded_quotient_rows(kind, n, gens, d), (kind, n, d)
+
+
+@pytest.mark.parametrize("kind, n", ROW_CASES)
+def test_generation_rows_match_expanded_products(kind, n):
+    gens = multisym.generation_generators(kind, n, 8)
+    for d in range(9):
+        rows = multisym._generation_rows(kind, n, gens, d)
+        assert rows == _expanded_generation_rows(kind, n, gens, d), (kind, n, d)
+
+
+@pytest.mark.parametrize("kind, n", ROW_CASES)
+def test_averaged_descent_basis_matches_group_average(kind, n):
+    monomial = descent_monomial if kind == "sym" else signed_descent_monomial
+    basis = averaged_descent_basis(kind, n)
+    assert [w for w, _ in basis] == list(elements(kind, n))
+    for w, poly in basis:
+        expected = average(kind, monomial(w))
+        assert poly == expected and not poly.is_zero()
+        assert [type(c) for c in poly.terms.values()] == [
+            type(c) for c in expected.terms.values()]
+
+
+@pytest.mark.parametrize("kind", ["sym", "signed"])
+def test_monomial_average_is_orbit_sum_over_orbit_size(kind):
+    # every monomial of degree <= 5 in up to three pairs, odd signed pair
+    # degrees (which average to zero) included
+    for n in (1, 2, 3):
+        for d in range(6):
+            for rep in monomial_orbit_reps("sym", n, d):
+                for xexp, yexp in {(tuple(a for a, _ in arr),
+                                    tuple(b for _, b in arr))
+                                   for arr in itertools.permutations(rep)}:
+                    mono = MultiPoly.monomial(n, xexp, yexp)
+                    avg = average(kind, mono)
+                    orbit = multisym._monomial_rep(kind, mono)
+                    if orbit is None:
+                        assert avg.is_zero() and kind == "signed"
+                        continue
+                    assert orbit == rep
+                    size = len(orbit_sum(n, rep).terms)
+                    assert avg == orbit_sum(n, rep) * Fraction(1, size)
+
+
+def test_quotients_and_generation_expand_no_polynomial():
+    products = []
+    original = MultiPoly.__mul__
+
+    def spy(self, other):
+        products.append((self, other))
+        return original(self, other)
+
+    MultiPoly.__mul__ = spy
+    try:
+        with _spy("power_sum") as sums, _spy("orbit_sum") as orbits:
+            assert quotient_graded_dims("sym", 3, ecom_ideal("u", 3), 6)
+            assert quotient_graded_dims("signed", 2, bcom_ideal("sp", 2), 6)
+            assert verify_power_sum_generation("sym", 3, 5).passed
+            assert verify_power_sum_generation("signed", 2, 6).passed
+    finally:
+        MultiPoly.__mul__ = original
+    assert products == [] and sums == [] and orbits == []
+
+
+@pytest.mark.parametrize("n, degree", [(0, 4), (2, -1), (0, -1)])
+def test_bad_sizes_are_value_errors(n, degree):
+    calls = [
+        lambda: quotient_graded_dims("sym", n, IdealSpec(((1, 0),)), degree),
+        lambda: verify_power_sum_generation("sym", n, degree),
+        lambda: verify_free_basis("sym", n, degree),
+        lambda: quotient_graded_dims("signed", n, IdealSpec(((2, 0),)), degree),
+        lambda: verify_power_sum_generation("signed", n, degree),
+        lambda: verify_free_basis("signed", n, degree),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="n >= 1 and degree >= 0"):
+            call()
