@@ -3,8 +3,8 @@ poset and catalog tables, and cache series results as JSON.
 
 Each command imports the library modules it uses when it runs, so start-up
 loads no math module.  A ``series`` cache hit is served from the JSON file
-alone: in json and csv format it loads no other comlie module, and in text
-format only ``qseries``, to print the polynomial.
+alone and loads no math module; the text format prints the polynomial
+through ``polytext``, which imports nothing.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
 exceeded (retry with --oracle).
@@ -133,11 +133,11 @@ def _print_series(payload: dict, fmt: str) -> None:
     elif fmt == "csv":
         _print_table(("degree", "coefficient"), list(enumerate(series["coeffs"])), fmt)
     else:
-        from .qseries import QPoly
+        from .polytext import poly_text
 
         print(f"# family={payload['family']} n={payload['n']} "
               f"quantity={payload['quantity']} trunc={series['trunc']}")
-        print(QPoly.from_coeffs(series["coeffs"]).to_str("t"))
+        print(poly_text(series["coeffs"], "t"))
 
 
 def _series_payload(header: dict, coeffs: list[int]) -> dict:

@@ -9,10 +9,17 @@ with d_i the invariant degrees and the determinant taken on the reflection
 representation (the Lie algebra of the maximal torus).  Write N for the
 numerator.  The fiber-space series is N^2 times the class average of
 1/det(1 - s*w)^2, the square of the trace averaged over the group; the series
-of the commuting classifying space is N times that same average.  Both
-averages run over conjugacy classes weighted by class size and divide each
-class by det(1 - s*w) twice, in time linear in the truncation per cycle, so
-the oracle scales with the number of cycle types, not with the group order.
+of the commuting classifying space is N times that same average.
+
+Both averages run over conjugacy classes weighted by class size.  On the
+permutation representation det(1 - s*w) is a product of factors
+(1 - sign*s^c)^m, one per distinct cycle length c and sign, and classes
+listed in order share long prefixes of these factors.  A stack keeps
+1/det^2 of each prefix of the previous class, so a class divides only the
+factors past the prefix it shares, each (1 - sign*s^c)^(2m) in one call of
+the factor recurrence.  The weighted sum of these N-free series is
+multiplied by N once at the end, so the oracle scales with the number of
+cycle types, not with the group order.
 
 Everything stays in exact integers; the final division by the group order is
 checked for exactness and never rounded.
@@ -20,12 +27,12 @@ checked for exactness and never rounded.
 
 from __future__ import annotations
 
-from collections import Counter
 from math import factorial
+from operator import add
 from typing import Iterator
 
 from .poincare import GroupSpec
-from .qseries import QPoly, TruncatedSeries, _divide_by_factor
+from .qseries import QPoly, TruncatedSeries, _convolve, _divide_by_factor
 from .repa import partitions
 from .weylcomb import CycleData
 
@@ -38,7 +45,8 @@ class IntegralityError(ArithmeticError):
 def _cycle_type_weight(lengths: tuple[int, ...]) -> int:
     """Centralizer factor prod_k k^(m_k) * m_k! of a cycle-length multiset."""
     weight = 1
-    for length, mult in Counter(lengths).items():
+    for length in dict.fromkeys(lengths):
+        mult = lengths.count(length)
         weight *= length**mult * factorial(mult)
     return weight
 
@@ -112,10 +120,8 @@ def _over_det(numerator: list[int], cycles: CycleData, dets: int) -> list[int]:
     permutation representation: the product of (1 - s^c) over positive and
     (1 + s^c) over negative cycles."""
     coeffs = numerator.copy()
-    signed = [(c, 1) for c in cycles.positive_cycles]
-    signed += [(c, -1) for c in cycles.negative_cycles]
-    for c, sign in signed * dets:
-        _divide_by_factor(coeffs, c, sign)
+    for c, sign, m in _factors(cycles):
+        _divide_by_factor(coeffs, c, sign, dets * m)
     return coeffs
 
 
@@ -141,15 +147,48 @@ def _exact_average(acc: list[int], order: int) -> list[int]:
     return out
 
 
-def _class_average(group: GroupSpec, trunc: int, numerator: QPoly) -> TruncatedSeries:
-    """Class-size weighted average, through t-degree ``trunc``, of
-    ``numerator`` / det(1 - s*w)^2 on the permutation representation."""
+def _factors(cycles: CycleData) -> list[tuple[int, int, int]]:
+    """Run-length factors (c, sign, m) of det(1 - s*w) on the permutation
+    representation: (1 - sign*s^c)^m for each distinct cycle length c,
+    positive cycles first."""
+    return [
+        (c, sign, lengths.count(c))
+        for lengths, sign in ((cycles.positive_cycles, 1), (cycles.negative_cycles, -1))
+        for c in dict.fromkeys(lengths)
+    ]
+
+
+def _class_average(
+    group: GroupSpec, trunc: int, numerator: list[int]
+) -> TruncatedSeries:
+    """Class-size weighted average, through t-degree ``trunc``, of the
+    series with coefficients ``numerator`` (through s-degree trunc // 2)
+    over det(1 - s*w)^2 on the permutation representation.
+
+    ``stack[i]`` is 1 / (first i factors of the previous class)^2, so a class
+    divides only the factors past the prefix it shares with the previous
+    one; the numerator multiplies the weighted sum once at the end."""
     s_trunc = trunc // 2
-    coeffs = numerator.coefficients_through(s_trunc)
     acc = [0] * (s_trunc + 1)
+    stack = [[1] + [0] * s_trunc]
+    previous: list[tuple[int, int, int]] = []
     for cycles, size in conjugacy_classes(group):
-        for k, c in enumerate(_over_det(coeffs, cycles, 2)):
-            acc[k] += size * c
+        factors = _factors(cycles)
+        shared = 0
+        for old, new in zip(previous, factors):
+            if old != new:
+                break
+            shared += 1
+        del stack[shared + 1 :]
+        for c, sign, m in factors[shared:]:
+            series = stack[-1]
+            if c <= s_trunc:
+                series = series.copy()
+                _divide_by_factor(series, c, sign, 2 * m)
+            stack.append(series)
+        previous = factors
+        acc[:] = map(add, acc, map(size.__mul__, stack[-1]))
+    acc = _convolve(numerator, acc, s_trunc)
     t_coeffs = [0] * (trunc + 1)
     t_coeffs[::2] = _exact_average(acc, group.weyl_order)
     return TruncatedSeries(tuple(t_coeffs))
@@ -157,12 +196,17 @@ def _class_average(group: GroupSpec, trunc: int, numerator: QPoly) -> TruncatedS
 
 def oracle_ecom(group: GroupSpec, trunc: int) -> TruncatedSeries:
     """Fiber-space series through t-degree ``trunc`` via the class-sum of
-    squared coinvariant characters, (N / det)^2 = N^2 / det^2."""
-    numerator = _numerator(group, 1)
-    return _class_average(group, trunc, numerator * numerator)
+    squared coinvariant characters, (N / det)^2 = N^2 / det^2; N^2 is
+    squared only through the truncation."""
+    numerator = _numerator(group, 1).coefficients_through(trunc // 2)
+    return _class_average(
+        group, trunc, _convolve(numerator, numerator, trunc // 2)
+    )
 
 
 def oracle_bcom(group: GroupSpec, trunc: int) -> TruncatedSeries:
     """Commuting-classifying-space series through t-degree ``trunc`` via the
     class-sum of character over reflection determinant."""
-    return _class_average(group, trunc, _numerator(group, 2))
+    return _class_average(
+        group, trunc, _numerator(group, 2).coefficients_through(trunc // 2)
+    )

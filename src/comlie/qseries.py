@@ -2,8 +2,10 @@
 
 Rational series keep their denominator as an unexpanded product of factors
 (1 - t^e)^m, the only denominator shape needed here.  Expansion runs the
-forward recurrence c[k] += c[k-e] once per factor, so every coefficient is
-an exact integer and no polynomial division ever happens.
+forward recurrence c[k] += c[k-e] m times per factor, so every coefficient
+is an exact integer and no polynomial division ever happens.  The
+recurrence is a running sum along each residue class of exponents mod e,
+so long classes are summed whole at C speed.
 
 Coefficients are dense, constant term first; ``_convolve`` multiplies them
 and ``_divide_by_factor`` runs that recurrence, for the whole library.
@@ -12,9 +14,11 @@ and ``_divide_by_factor`` runs that recurrence, for the whole library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
-from operator import mul
+from itertools import accumulate, zip_longest
+from operator import add, mul, neg, sub
 from typing import Iterable, Mapping, Sequence
+
+from .polytext import poly_text
 
 
 def _used_length(coeffs: Sequence[int]) -> int:
@@ -139,20 +143,7 @@ class QPoly:
     __rmul__ = __mul__
 
     def to_str(self, var: str = "t") -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for e, c in self.items():
-            if e == 0:
-                term = str(c)
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                sign = "-" if c < 0 else ""
-                pow_ = var if e == 1 else f"{var}^{e}"
-                term = f"{sign}{mag}{pow_}"
-            parts.append(term)
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+        return poly_text(self._coeffs, var)
 
     def __repr__(self) -> str:
         return f"QPoly({self.to_str()})"
@@ -220,10 +211,54 @@ class TruncatedSeries:
         return f"TruncatedSeries(trunc={self.trunc}, coeffs={list(self.coeffs)})"
 
 
-def _divide_by_factor(coeffs: list[int], exp: int, sign: int = 1) -> None:
-    """In place, divide the series by (1 - sign*t^exp) via the forward recurrence."""
-    for k in range(exp, len(coeffs)):
-        coeffs[k] += sign * coeffs[k - exp]
+#: Crossovers of ``_divide_by_factor`` against the one-coefficient loop,
+#: measured on 40-400 coefficients of 6 and of 25 digits and set for the
+#: small ones, where the loop is fastest.  A residue lane costs a fixed
+#: overhead per call and per pass, so whole lanes win once a lane holds at
+#: least _LANE_PER_PASS + _LANE_PER_CALL / times coefficients.  A block of
+#: ``exp`` coefficients costs a fixed overhead too, so blocks win once
+#: ``exp`` reaches _BLOCK_MIN and the series spans three blocks.
+_LANE_PER_PASS = 8
+_LANE_PER_CALL = 16
+_BLOCK_MIN = 48
+
+
+def _divide_by_factor(
+    coeffs: list[int], exp: int, sign: int = 1, times: int = 1
+) -> None:
+    """In place, divide the series by (1 - sign*t^exp)^times via the forward
+    recurrence c[k] += sign*c[k - exp], run ``times`` times.
+
+    The recurrence is a running sum along each residue lane
+    ``coeffs[r::exp]``; for sign -1 it is one on the lane with its odd
+    entries negated.  Long lanes are summed whole with ``accumulate``, and a
+    large ``exp`` steps whole blocks of ``exp`` coefficients with ``map``;
+    short lanes of a small ``exp`` keep the one-coefficient loop."""
+    size = len(coeffs)
+    if size * times >= exp * (_LANE_PER_PASS * times + _LANE_PER_CALL):
+        for r in range(exp):
+            lane = coeffs[r::exp]
+            if sign < 0:
+                lane[1::2] = map(neg, lane[1::2])
+            for _ in range(times):
+                lane = accumulate(lane)
+            lane = list(lane)
+            if sign < 0:
+                lane[1::2] = map(neg, lane[1::2])
+            coeffs[r::exp] = lane
+    elif exp >= _BLOCK_MIN and size >= 3 * exp:
+        step = add if sign > 0 else sub
+        while times:
+            for k in range(exp, size, exp):
+                block = coeffs[k : k + exp]
+                coeffs[k : k + exp] = map(step, block, coeffs[k - exp : k])
+            times -= 1
+    else:
+        # a while loop: a range object per call costs 5% of a short series
+        while times:
+            for k in range(exp, size):
+                coeffs[k] += sign * coeffs[k - exp]
+            times -= 1
 
 
 def _normalize_factors(
@@ -256,8 +291,7 @@ class RationalSeries:
         """Exact coefficients through degree ``trunc``."""
         coeffs = self.numerator.coefficients_through(trunc)
         for exp, mult in self.denominator_factors:
-            for _ in range(mult):
-                _divide_by_factor(coeffs, exp)
+            _divide_by_factor(coeffs, exp, 1, mult)
         return TruncatedSeries(tuple(coeffs))
 
     def __mul__(self, other: "RationalSeries") -> "RationalSeries":

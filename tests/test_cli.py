@@ -382,7 +382,7 @@ def test_cli_import_leaves_multisym_unloaded():
 
 
 @pytest.mark.parametrize("fmt, loaded", [
-    ("json", set()), ("csv", set()), ("text", {"comlie.qseries"}),
+    ("json", set()), ("csv", set()), ("text", set()),
 ])
 def test_cache_hit_reads_json_without_the_math_modules(capsys, tmp_path, fmt,
                                                        loaded):

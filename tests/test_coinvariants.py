@@ -136,15 +136,65 @@ def _reference_ecom(group, trunc):
     return TruncatedSeries(tuple(coeffs))
 
 
-@pytest.mark.parametrize(
-    "group",
-    [GroupSpec(family, n) for family in ("u", "su") for n in range(1, 11)]
-    + [GroupSpec("sp", n) for n in range(1, 7)],
-    ids=lambda g: g.label,
-)
+def _reference_bcom(group, trunc):
+    """Class-size weighted sum of N / det(1 - s*w)^2, each class divided
+    from the numerator afresh one cycle and one coefficient at a time, with
+    N = prod_i (1 - s^(d_i)), times (1 - s)^2 for SU, and det taken on the
+    permutation representation."""
+    s_trunc = trunc // 2
+    numerator = [1] + [0] * s_trunc
+    degrees = invariant_degrees(group) + ((1, 1) if group.family == "SU" else ())
+    for d in degrees:
+        for k in range(s_trunc, d - 1, -1):
+            numerator[k] -= numerator[k - d]
+    acc = [0] * (s_trunc + 1)
+    for cycles, size in conjugacy_classes(group):
+        coeffs = numerator.copy()
+        signed = [(c, 1) for c in cycles.positive_cycles]
+        signed += [(c, -1) for c in cycles.negative_cycles]
+        for c, sign in signed * 2:
+            for k in range(c, s_trunc + 1):
+                coeffs[k] += sign * coeffs[k - c]
+        acc = [a + size * c for a, c in zip(acc, coeffs)]
+    coeffs = [0] * (trunc + 1)
+    coeffs[::2] = [c // group.weyl_order for c in acc]
+    assert [c * group.weyl_order for c in coeffs[::2]] == acc
+    return TruncatedSeries(tuple(coeffs))
+
+
+ORACLE_REFERENCE_GROUPS = (
+    [GroupSpec(family, n) for family in ("u", "su") for n in range(1, 13)]
+    + [GroupSpec("sp", n) for n in range(1, 8)])
+
+
+@pytest.mark.parametrize("group", ORACLE_REFERENCE_GROUPS, ids=lambda g: g.label)
 def test_oracle_ecom_equals_squared_character_sum(group):
     for trunc in sorted({0, 1, 7, 20, min(group.top_ecom_degree, 80)}):
         assert oracle_ecom(group, trunc) == _reference_ecom(group, trunc)
+
+
+@pytest.mark.parametrize("group", ORACLE_REFERENCE_GROUPS, ids=lambda g: g.label)
+def test_oracle_bcom_equals_per_class_sum(group):
+    for trunc in sorted({0, 1, 7, 20, min(group.top_ecom_degree, 80)}):
+        assert oracle_bcom(group, trunc) == _reference_bcom(group, trunc)
+
+
+@pytest.mark.parametrize("group", [GroupSpec("u", 9), GroupSpec("su", 7),
+                                   GroupSpec("sp", 5)], ids=lambda g: g.label)
+@pytest.mark.parametrize("oracle", [oracle_ecom, oracle_bcom])
+def test_oracle_sums_every_class_in_one_pass(monkeypatch, group, oracle):
+    classes = list(conjugacy_classes(group))
+    calls = []
+
+    def spied(g):
+        calls.append([])
+        for item in conjugacy_classes(g):
+            calls[-1].append(item)
+            yield item
+
+    monkeypatch.setattr(coinvariants, "conjugacy_classes", spied)
+    oracle(group, 30)
+    assert calls == [classes]
 
 
 def test_oracle_ecom_squares_once_per_call(monkeypatch):

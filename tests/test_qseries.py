@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from comlie.qseries import (
     QPoly,
     RationalSeries,
     TruncatedSeries,
+    _divide_by_factor,
     exact_div,
     product_series,
 )
@@ -168,3 +169,43 @@ def test_expand_times_denominator_recovers_numerator(numerator, factors, trunc):
             denominator = denominator * QPoly({0: 1, exp: -1})
     product = expansion * denominator.truncated(trunc)
     assert product.coeffs == numerator.truncated(trunc).coeffs
+
+
+def _divide_by_loop(coeffs, exp, sign):
+    """Reference: one pass of the forward recurrence, one coefficient at a
+    time."""
+    for k in range(exp, len(coeffs)):
+        coeffs[k] += sign * coeffs[k - exp]
+
+
+def _check_divide_by_factor(coeffs, exp, sign, times):
+    expected = list(coeffs)
+    for _ in range(times):
+        _divide_by_loop(expected, exp, sign)
+    got = list(coeffs)
+    assert _divide_by_factor(got, exp, sign, times) is None
+    assert got == expected
+
+
+# long and short lanes, blocks of 48 and more, and exponents past the length
+@settings(max_examples=300)
+@given(
+    st.lists(st.one_of(st.integers(-9, 9), st.integers(-10**30, 10**30)),
+             max_size=220),
+    st.one_of(st.integers(1, 6), st.integers(40, 80), st.integers(1, 260)),
+    st.sampled_from((1, -1)),
+    st.integers(1, 4),
+)
+def test_divide_by_factor_equals_repeated_loop(coeffs, exp, sign, times):
+    _check_divide_by_factor(coeffs, exp, sign, times)
+
+
+@pytest.mark.parametrize("size, exp", [
+    (0, 1), (1, 1), (5, 9), (9, 9), (200, 1), (200, 3), (60, 7), (200, 48),
+    (200, 66), (145, 48), (143, 48), (300, 100),
+])
+@pytest.mark.parametrize("sign", (1, -1))
+def test_divide_by_factor_on_every_route(size, exp, sign):
+    coeffs = [(7 * k * k + 3) % 23 - 11 for k in range(size)]
+    for times in (1, 2, 3, 4):
+        _check_divide_by_factor(coeffs, exp, sign, times)
