@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, zip_longest
-from operator import add, mul, neg, sub
+from operator import mul, neg
 from typing import Iterable, Mapping, Sequence
 
 from .polytext import poly_text
@@ -211,16 +211,13 @@ class TruncatedSeries:
         return f"TruncatedSeries(trunc={self.trunc}, coeffs={list(self.coeffs)})"
 
 
-#: Crossovers of ``_divide_by_factor`` against the one-coefficient loop,
+#: Crossover of ``_divide_by_factor`` against the one-coefficient loop,
 #: measured on 40-400 coefficients of 6 and of 25 digits and set for the
 #: small ones, where the loop is fastest.  A residue lane costs a fixed
 #: overhead per call and per pass, so whole lanes win once a lane holds at
-#: least _LANE_PER_PASS + _LANE_PER_CALL / times coefficients.  A block of
-#: ``exp`` coefficients costs a fixed overhead too, so blocks win once
-#: ``exp`` reaches _BLOCK_MIN and the series spans three blocks.
+#: least _LANE_PER_PASS + _LANE_PER_CALL / times coefficients.
 _LANE_PER_PASS = 8
 _LANE_PER_CALL = 16
-_BLOCK_MIN = 48
 
 
 def _divide_by_factor(
@@ -231,9 +228,8 @@ def _divide_by_factor(
 
     The recurrence is a running sum along each residue lane
     ``coeffs[r::exp]``; for sign -1 it is one on the lane with its odd
-    entries negated.  Long lanes are summed whole with ``accumulate``, and a
-    large ``exp`` steps whole blocks of ``exp`` coefficients with ``map``;
-    short lanes of a small ``exp`` keep the one-coefficient loop."""
+    entries negated.  Long lanes are summed whole with ``accumulate``; short
+    lanes keep the one-coefficient loop."""
     size = len(coeffs)
     if size * times >= exp * (_LANE_PER_PASS * times + _LANE_PER_CALL):
         for r in range(exp):
@@ -246,13 +242,6 @@ def _divide_by_factor(
             if sign < 0:
                 lane[1::2] = map(neg, lane[1::2])
             coeffs[r::exp] = lane
-    elif exp >= _BLOCK_MIN and size >= 3 * exp:
-        step = add if sign > 0 else sub
-        while times:
-            for k in range(exp, size, exp):
-                block = coeffs[k : k + exp]
-                coeffs[k : k + exp] = map(step, block, coeffs[k - exp : k])
-            times -= 1
     else:
         # a while loop: a range object per call costs 5% of a short series
         while times:

@@ -107,16 +107,10 @@ def refinements_with_blocks(partition: SetPartition, num_blocks: int):
 
     Each block's splits into k parts are listed once per call and reused for
     every split of the blocks before it."""
-    return _refinements(partition, num_blocks, {})
-
-
-def _refinements(partition: SetPartition, num_blocks: int, splits: dict):
-    """``refinements_with_blocks`` with the splits of each (block, k) taken
-    from ``splits`` and listed into it on first use, so that callers can
-    share them across calls."""
     blocks = list(partition)
     # the most parts the blocks after each index can be split into
     room = [sum(map(len, blocks[idx:])) for idx in range(1, len(blocks) + 1)]
+    splits: dict[tuple[int, int], list[SetPartition]] = {}
 
     def rec(idx: int, needed: int, acc: list[tuple[int, ...]]):
         if idx == len(blocks):
@@ -127,36 +121,26 @@ def _refinements(partition: SetPartition, num_blocks: int, splits: dict):
         block = blocks[idx]
         low = max(1, needed - room[idx])
         for k in range(low, min(needed - remaining_blocks, len(block)) + 1):
-            subs = splits.get((block, k))
-            if subs is None:
-                subs = splits[block, k] = list(set_partitions_with_blocks(block, k))
-            for sub in subs:
+            if (idx, k) not in splits:
+                splits[idx, k] = list(set_partitions_with_blocks(block, k))
+            for sub in splits[idx, k]:
                 yield from rec(idx + 1, needed - k, acc + list(sub))
 
     yield from rec(0, num_blocks, [])
 
 
 def _chains(n: int, block_counts: tuple[int, ...]):
-    """Refinement chains with the given block counts.
-
-    The chains below one partition of the first level with two or more
-    blocks share one dict of block splits, so each (block, k) is split once
-    there, however many chain prefixes refine that block.  The dict is
-    emptied at each such partition, which bounds it to the splits of
-    subsets of that partition's blocks; kept whole, it would hold the
-    splits of every subset of {1, ..., n} at once (about 10 000 set
-    partitions for n = 8 and block counts (2, 4)), mostly for no reuse."""
     items = tuple(range(1, n + 1))
-    splits: dict = {}
 
     def rec(level: int, chain: list[SetPartition]):
         if level == len(block_counts):
             yield tuple(chain)
             return
-        coarser = chain[-1] if chain else (items,)
-        for part in _refinements(coarser, block_counts[level], splits):
-            if len(coarser) == 1:
-                splits.clear()
+        if level == 0:
+            source = set_partitions_with_blocks(items, block_counts[0])
+        else:
+            source = refinements_with_blocks(chain[-1], block_counts[level])
+        for part in source:
             chain.append(part)
             yield from rec(level + 1, chain)
             chain.pop()

@@ -96,21 +96,31 @@ def test_refinements_match_resplitting_in_order(n):
 
 def test_refinements_split_each_block_once_per_block_count(monkeypatch):
     split = toriposet.set_partitions_with_blocks
+    refine = toriposet.refinements_with_blocks
     calls = []
+    visited = bound = 0
 
     def counted_split(items, k):
         calls.append((items, k))
         return split(items, k)
 
+    def listed_refine(partition, num_blocks):
+        nonlocal visited, bound
+        start = len(calls)
+        out = list(refine(partition, num_blocks))
+        pairs = calls[start:]
+        assert len(pairs) == len(set(pairs)), partition
+        visited += len(pairs)
+        bound += sum(min(len(block), num_blocks) for block in partition)
+        return iter(out)
+
     monkeypatch.setattr(toriposet, "set_partitions_with_blocks", counted_split)
-    items = tuple(range(1, 7))
-    for size in range(1, 7):
-        for partition in split(items, size):
-            for num_blocks in range(size, 7):
-                calls.clear()
-                list(refinements_with_blocks(partition, num_blocks))
-                bound = sum(min(len(block), num_blocks) for block in partition)
-                assert len(calls) == len(set(calls)) <= bound, partition
+    monkeypatch.setattr(toriposet, "refinements_with_blocks", listed_refine)
+    chains = list(toriposet._chains(6, (1, 2, 3, 4, 5, 6)))
+    assert len(chains) == 2700
+    # one call lists the first level; every other one splits a (block, k)
+    # pair that some refinements_with_blocks call visited, and only once
+    assert len(calls) == 1 + visited <= 1 + bound
 
 
 # the ivals of the benchmark's chain requests
@@ -129,60 +139,17 @@ def _chains_by_resplitting(n, block_counts):
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_chains_split_each_block_once(monkeypatch, n):
-    split = toriposet.set_partitions_with_blocks
-    refine = toriposet._refinements
-    calls = []
-
-    def counted_split(items, k):
-        calls.append((items, k))
-        return split(items, k)
-
-    def scoped_refine(partition, num_blocks, splits):
-        for part in refine(partition, num_blocks, splits):
-            if len(partition) == 1:
-                calls.append(None)  # _chains empties its splits here
-            yield part
-
-    monkeypatch.setattr(toriposet, "set_partitions_with_blocks", counted_split)
-    monkeypatch.setattr(toriposet, "_refinements", scoped_refine)
+def test_chains_match_resplitting_and_bruteforce(n):
     maximal = (tuple(range(n)),) if n <= 6 else ()
     for ivals in CHAIN_IVALS + maximal:
         if ivals[-1] > n - 1:
             continue
         block_counts = tuple(i + 1 for i in ivals)
         reference = _chains_by_resplitting(n, block_counts)
-        calls.clear()
         assert list(toriposet._chains(n, block_counts)) == reference
-        scopes = [[]]
-        for call in calls:
-            if call is None:
-                scopes.append([])
-            else:
-                scopes[-1].append(call)
-        assert all(len(scope) == len(set(scope)) for scope in scopes), ivals
-        splits = [call for call in calls if call is not None]
-        if ivals in CHAIN_IVALS:
-            # no block recurs below two partitions of these shapes' first
-            # level with two or more blocks
-            assert len(splits) == len(set(splits)), ivals
         classes = chain_classes(n, ivals)
         assert len(classes) == chain_class_count_bruteforce(n, ivals)
         assert len({chain_orbit_key(c) for c in reference}) == len(classes)
-
-
-def test_maximal_chains_split_far_fewer_blocks(monkeypatch):
-    split = toriposet.set_partitions_with_blocks
-    calls = []
-
-    def counted_split(items, k):
-        calls.append((items, k))
-        return split(items, k)
-
-    monkeypatch.setattr(toriposet, "set_partitions_with_blocks", counted_split)
-    assert sum(1 for _ in toriposet._chains(6, (1, 2, 3, 4, 5, 6))) == 2700
-    # 24 331 when every refinement re-split its blocks, 114 distinct pairs
-    assert len(set(calls)) == 114 and len(calls) < 1000
 
 
 def test_chain_classes_examples():
