@@ -174,6 +174,10 @@ def _write_cache(path: Path, text: str) -> None:
         tmp.write_text(text)
         os.replace(tmp, path)
     except OSError as exc:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass  # never written: the directory is missing or unusable
         print(f"warning: cache not written: {exc}", file=sys.stderr)
 
 

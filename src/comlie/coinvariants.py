@@ -84,12 +84,7 @@ def conjugacy_classes(group: GroupSpec) -> Iterator[tuple[CycleData, int]]:
 
 def invariant_degrees(group: GroupSpec) -> tuple[int, ...]:
     """Degrees d_i of the basic invariants, in the s = t^2 grading."""
-    n = group.n
-    if group.family == "U":
-        return tuple(range(1, n + 1))
-    if group.family == "SU":
-        return tuple(range(2, n + 1))
-    return tuple(2 * i for i in range(1, n + 1))
+    return group._invariant_degrees
 
 
 def _check_consistent(group: GroupSpec, cycles: CycleData) -> None:

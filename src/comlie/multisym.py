@@ -16,7 +16,10 @@ monomial is its orbit sum over the orbit size, or zero for the signed group
 when some pair degree is odd, so the descent basis needs no enumeration of
 the group per monomial; ``act`` and ``average`` remain as the reference.
 Free-basis products of three orbit sums are still ``MultiPoly`` products.
-Every check reduces to exact rank computations in orbit-sum coordinates.
+Every check reduces to exact rank computations in orbit-sum coordinates,
+on one row format from the row builders to ``exact_rank``: a sparse row
+{column: nonzero int}, which structure constants and products of primitive
+orbit sums always give.
 
 All polynomial degrees here are plain degrees of polynomials; the doubling
 to cohomological degree happens in callers.
@@ -39,6 +42,7 @@ from .weylcomb import (
     Permutation,
     SignedPermutation,
     _check_kind,
+    _degrees,
     elements,
     group_order,
 )
@@ -52,6 +56,7 @@ Pair = tuple[int, int]
 OrbitRep = tuple[Pair, ...]
 GradedDims = dict[int, int]
 Coeff = int | Fraction
+Row = dict[int, int]
 
 #: Primes just below 2**61 for the modular rank in ``exact_rank``; their
 #: product, about 2**976, caps the minors the rank certificate can rule out.
@@ -383,28 +388,24 @@ def _times_power_sum(rep: OrbitRep, gen: Pair) -> list[tuple[OrbitRep, int]]:
     return out
 
 
-def _dense_row(coords, column: dict[OrbitRep, int]) -> list[int]:
-    """A dense coordinate row from (representative, coefficient) items."""
-    row = [0] * len(column)
-    for c, coeff in coords:
-        row[column[c]] = coeff
-    return row
-
-
 @lru_cache(maxsize=64)
-def _rep_keys(reps: tuple[OrbitRep, ...]) -> tuple[ExpKey, ...]:
-    """The term key of each representative monomial."""
-    return tuple(
-        (tuple(a for a, _ in rep), tuple(b for _, b in rep)) for rep in reps
-    )
+def _rep_index(reps: tuple[OrbitRep, ...]) -> dict[ExpKey, int]:
+    """The index of each representative, by its monomial's term key."""
+    return {
+        (tuple(a for a, _ in rep), tuple(b for _, b in rep)): j
+        for j, rep in enumerate(reps)
+    }
 
 
 def invariant_coordinates(
     poly: MultiPoly, reps: tuple[OrbitRep, ...]
-) -> list[Coeff]:
-    """Coordinates of an invariant polynomial in the orbit-sum basis: the
-    coefficient of each representative monomial."""
-    return list(map(poly.terms.get, _rep_keys(reps), itertools.repeat(0)))
+) -> dict[int, Coeff]:
+    """Coordinates of an invariant polynomial in the orbit-sum basis, as a
+    sparse row: the index j of each representative monomial among the
+    terms, mapped to its coefficient."""
+    index = _rep_index(reps)
+    return {j: c for key, c in poly.terms.items()
+            if (j := index.get(key)) is not None}
 
 
 @lru_cache(maxsize=64)
@@ -413,18 +414,7 @@ def _columns(kind: str, n: int, degree: int) -> dict[OrbitRep, int]:
     return {r: j for j, r in enumerate(monomial_orbit_reps(kind, n, degree))}
 
 
-def _integer_rows(rows: list[list[Coeff]]) -> list[dict[int, int]]:
-    """The nonzero rows as sparse integer rows {column: entry}, each scaled
-    by the lcm of its denominators (which leaves the rank unchanged)."""
-    out = []
-    for row in rows:
-        sparse = {j: row[j] for j in itertools.compress(range(len(row)), row)}
-        if sparse:
-            out.append(dict(_numerators(sparse)[0]))
-    return out
-
-
-def _rank_mod(rows: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
+def _rank_mod(rows: list[Row], p: int) -> dict[int, Row]:
     """Echelon form of sparse integer rows modulo the prime ``p``: pivot
     rows by pivot column, each 1 there and zero to its left.  Their number
     is the rank mod p.
@@ -467,9 +457,7 @@ def _rational_residue(y: int, p: int) -> tuple[int, int] | None:
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _kernel_certified(
-    rows: list[dict[int, int]], pivots: dict[int, dict[int, int]], p: int
-) -> bool:
+def _kernel_certified(rows: list[Row], pivots: dict[int, Row], p: int) -> bool:
     """Whether the kernel of the echelon form mod p lifts to a kernel over Q.
 
     Back substitution reduces each pivot row to its entries in the free
@@ -516,7 +504,7 @@ def _kernel_certified(
     return True
 
 
-def _hadamard_square(rows: list[dict[int, int]], k: int) -> int:
+def _hadamard_square(rows: list[Row], k: int) -> int:
     """Square of the Hadamard bound on every k-minor: the product of the k
     largest squared row norms."""
     norms = sorted((sum(v * v for v in row.values()) for row in rows),
@@ -524,39 +512,43 @@ def _hadamard_square(rows: list[dict[int, int]], k: int) -> int:
     return math.prod(norms[:k])
 
 
-def exact_rank(rows: list[list[Coeff]]) -> int:
-    """Rank over Q of a matrix with int or Fraction entries, exactly.
+def exact_rank(rows: list[Row]) -> int:
+    """Rank over Q of sparse integer rows {column: entry}, exactly.
 
-    The rows are scaled to integers and eliminated modulo the primes of
-    ``_PRIMES``.  Reduction mod p never raises the rank, so a rank mod p
-    equal to min(rows, columns) is the rank over Q.  A smaller rank r is
-    exact when the kernel of the echelon form mod p lifts to a kernel over Q
-    (``_kernel_certified``), which is tried once for each new largest rank.
-    Otherwise the largest rank r is exact once the product of the primes
-    tried exceeds the Hadamard bound on the (r+1)-minors: a nonzero such
-    minor would be divisible by every one of those primes.  If the primes
-    run out first, the answer comes from ``fraction_rank``.
+    The rows are eliminated modulo the primes of ``_PRIMES``.  Reduction
+    mod p never raises the rank, and the rank over Q is at most the number
+    of nonempty rows and at most the number of distinct columns that occur;
+    so a rank mod p equal to the smaller of the two is the rank over Q.  A
+    smaller rank r is exact when the kernel of the echelon form mod p lifts
+    to a kernel over Q (``_kernel_certified``), which is tried once for each
+    new largest rank.  Otherwise the largest rank r is exact once the
+    product of the primes tried exceeds the Hadamard bound on the
+    (r+1)-minors: a nonzero such minor would be divisible by every one of
+    those primes.  If the primes run out first, the answer comes from
+    ``fraction_rank`` on the rows written out over the columns that occur.
     """
-    int_rows = _integer_rows(rows)
-    if not int_rows:
+    rows = [row for row in rows if row]
+    columns = set().union(*rows)
+    full = min(len(rows), len(columns))
+    if not full:
         return 0
-    full = min(len(int_rows), len(rows[0]))
     rank = -1
     modulus = 1
     for p in _PRIMES:
-        pivots = _rank_mod(int_rows, p)
+        pivots = _rank_mod(rows, p)
         r = len(pivots)
         if r == full:
             return r
         if r > rank:
-            if _kernel_certified(int_rows, pivots, p):
+            if _kernel_certified(rows, pivots, p):
                 return r
             rank = r
-            bound = _hadamard_square(int_rows, r + 1)
+            bound = _hadamard_square(rows, r + 1)
         modulus *= p
         if modulus * modulus > bound:
             return rank
-    return fraction_rank(rows)
+    order = sorted(columns)
+    return fraction_rank([[row.get(j, 0) for j in order] for row in rows])
 
 
 def fraction_rank(rows: list[list[Coeff]]) -> int:
@@ -590,35 +582,34 @@ class IdealSpec:
                 raise ValueError(f"invalid power-sum index ({a}, {b})")
 
 
+def _x_power_sums(family: str, n: int) -> tuple[Pair, ...]:
+    """The pure-x power sums p_(d, 0) in the basic degrees d of the
+    family's Weyl group (S_n for U and SU), for an upper-case family name."""
+    if family not in ("U", "SU", "SP"):
+        raise ValueError(f"unknown family {family!r}")
+    kind = "signed" if family == "SP" else "sym"
+    return tuple((d, 0) for d in _degrees(kind, n))
+
+
 def bcom_ideal(family: str, n: int) -> IdealSpec:
     """Generators of the ideal presenting the commuting classifying space:
     the pure-x power sums of BG, plus the trace class for SU."""
     family = family.upper()
-    if family == "U":
-        return IdealSpec(tuple((a, 0) for a in range(1, n + 1)))
-    if family == "SU":
-        return IdealSpec(tuple((a, 0) for a in range(1, n + 1)) + ((0, 1),))
-    if family == "SP":
-        return IdealSpec(tuple((2 * a, 0) for a in range(1, n + 1)))
-    raise ValueError(f"unknown family {family!r}")
+    trace = ((0, 1),) if family == "SU" else ()
+    return IdealSpec(_x_power_sums(family, n) + trace)
 
 
 def ecom_ideal(family: str, n: int) -> IdealSpec:
     """Generators for the fiber-space quotient: the x power sums and their
     y mirrors."""
     family = family.upper()
-    if family == "U":
-        pairs = [(a, 0) for a in range(1, n + 1)]
-    elif family == "SP":
-        pairs = [(2 * a, 0) for a in range(1, n + 1)]
-    elif family == "SU":
+    if family == "SU":
         raise ValueError(
             "the fiber space of SU(n) shares the U(n) numerator; "
             "quotient against ecom_ideal('U', n) instead"
         )
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return IdealSpec(tuple(pairs) + tuple((b, a) for a, b in pairs))
+    pairs = _x_power_sums(family, n)
+    return IdealSpec(pairs + tuple((b, a) for a, b in pairs))
 
 
 def _check_feasible(kind: str, n: int, max_degree: int) -> None:
@@ -657,10 +648,10 @@ def quotient_graded_dims(
 
 def _quotient_rows(
     kind: str, n: int, generators: tuple[Pair, ...], degree: int
-) -> list[list[int]]:
-    """The degree-``degree`` multiples m_A * p_gen of the generators, in
-    orbit-sum coordinates: for each generator, one row per representative A
-    of the complementary degree."""
+) -> list[Row]:
+    """The degree-``degree`` multiples m_A * p_gen of the generators, as
+    sparse rows in orbit-sum coordinates: for each generator, one row per
+    representative A of the complementary degree."""
     column = _columns(kind, n, degree)
     rows = []
     for gen in generators:
@@ -668,7 +659,8 @@ def _quotient_rows(
         if e > degree:
             continue
         for rep in monomial_orbit_reps(kind, n, degree - e):
-            rows.append(_dense_row(_times_power_sum(rep, gen), column))
+            rows.append({column[c]: mult
+                         for c, mult in _times_power_sum(rep, gen)})
     return rows
 
 
@@ -703,12 +695,6 @@ def _block_poly(n: int, lam: tuple[int, ...], block: str) -> MultiPoly:
     pairs = tuple((p, 0) if block == "x" else (0, p) for p in lam)
     pairs += ((0, 0),) * (n - len(lam))
     return orbit_sum(n, pairs)
-
-
-def _base_ring_weights(kind: str, n: int) -> dict[int, int]:
-    if kind == "sym":
-        return {i: 2 for i in range(1, n + 1)}
-    return {2 * i: 2 for i in range(1, n + 1)}
 
 
 def _monomial_rep(kind: str, mono: MultiPoly) -> OrbitRep | None:
@@ -776,7 +762,9 @@ def verify_free_basis(kind: str, n: int, max_degree: int) -> BasisReport:
     for d in degrees:
         degree_counts[d] = degree_counts.get(d, 0) + 1
     basis_gen = QPoly(degree_counts).truncated(max_degree)
-    base_hilbert = product_series(_base_ring_weights(kind, n), max_degree)
+    # the two blocks' invariants: two generators in each basic degree
+    base_hilbert = product_series(dict.fromkeys(_degrees(kind, n), 2),
+                                  max_degree)
     predicted = basis_gen * base_hilbert
 
     for d in range(max_degree + 1):
@@ -832,17 +820,17 @@ def generation_generators(kind: str, n: int, max_degree: int) -> tuple[Pair, ...
 
 def _generation_rows(
     kind: str, n: int, gens: tuple[Pair, ...], degree: int
-) -> list[list[int]]:
-    """The degree-``degree`` monomials in the power sums ``gens``, in
-    orbit-sum coordinates, one row per multiset of generators, listed by
-    nondecreasing generator index."""
+) -> list[Row]:
+    """The degree-``degree`` monomials in the power sums ``gens``, as sparse
+    rows in orbit-sum coordinates, one row per multiset of generators,
+    listed by nondecreasing generator index."""
     column = _columns(kind, n, degree)
     gen_degrees = [a + b for a, b in gens]
-    rows: list[list[int]] = []
+    rows: list[Row] = []
 
     def rec(idx: int, remaining: int, acc: dict[OrbitRep, int]) -> None:
         if remaining == 0:
-            rows.append(_dense_row(acc.items(), column))
+            rows.append({column[c]: coeff for c, coeff in acc.items()})
             return
         for i in range(idx, len(gens)):
             if gen_degrees[i] <= remaining:

@@ -23,7 +23,7 @@ from .families import FAMILIES, canonical_family  # noqa: F401
 from .qseries import QPoly, RationalSeries, TruncatedSeries, product_series
 from .repa import fiber_numerator_series, signed_fiber_numerator_series
 from .reports import CheckReport
-from .weylcomb import _check_enumerable, group_order
+from .weylcomb import _check_enumerable, _degrees, group_order
 
 
 @dataclass(frozen=True)
@@ -49,21 +49,20 @@ class GroupSpec:
         return group_order(self.weyl_kind, self.n)
 
     @property
+    def _invariant_degrees(self) -> tuple[int, ...]:
+        """Degrees of the basic invariants; SU has none of degree 1."""
+        degrees = _degrees(self.weyl_kind, self.n)
+        return degrees[1:] if self.family == "SU" else degrees
+
+    @property
     def bg_denominator_factors(self) -> tuple[tuple[int, int], ...]:
         """Factors (1 - t^e) of the Poincare series denominator of BG."""
-        n = self.n
-        if self.family == "U":
-            return tuple((2 * i, 1) for i in range(1, n + 1))
-        if self.family == "SU":
-            return tuple((2 * i, 1) for i in range(2, n + 1))
-        return tuple((4 * i, 1) for i in range(1, n + 1))
+        return tuple((2 * d, 1) for d in self._invariant_degrees)
 
     @property
     def top_ecom_degree(self) -> int:
         """Top cohomological degree of the fiber-space series."""
-        if self.family == "Sp":
-            return 4 * self.n**2
-        return 2 * self.n * (self.n - 1)
+        return 4 * sum(d - 1 for d in self._invariant_degrees)
 
     @property
     def label(self) -> str:

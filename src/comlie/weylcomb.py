@@ -176,6 +176,14 @@ def group_order(kind: str, n: int) -> int:
     return factorial(n) if kind == "sym" else 2**n * factorial(n)
 
 
+def _degrees(kind: str, n: int) -> tuple[int, ...]:
+    """Degrees of the basic invariants of the reflection representation:
+    1..n for the symmetric group, 2, 4, ..., 2n for the signed one."""
+    _check_kind(kind)
+    step = 1 if kind == "sym" else 2
+    return tuple(range(step, step * n + 1, step))
+
+
 def _check_enumerable(kind: str, n: int) -> None:
     cap = enumeration_cap(kind)
     if not 1 <= n <= cap:

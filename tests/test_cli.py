@@ -149,15 +149,26 @@ def test_corrupt_cache_file_is_recomputed(capsys, tmp_path):
 
 
 def test_unusable_cache_location_warns(capsys, tmp_path):
-    afile = tmp_path / "afile"
-    afile.write_text("not a directory")
     argv = ["series", "--group", "u", "--rank", "3", "--what", "ecom",
             "--maxdeg", "12"]
     _, fresh, _ = run(capsys, argv)
-    code, out, err = run(capsys, argv + ["--cache-dir", str(afile)])
-    assert code == 0 and out == fresh
-    assert len(err.splitlines()) == 1 and err.startswith("warning:")
+    # the cache directory is a file
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    # the cache path is a directory, so renaming the temporary file fails
+    cache_dir = tmp_path / "cache"
+    run(capsys, argv + ["--cache-dir", str(cache_dir)])
+    (cache_file,) = cache_dir.iterdir()
+    cache_file.unlink()
+    cache_file.mkdir()
+    for location in (afile, cache_dir):
+        code, out, err = run(capsys, argv + ["--cache-dir", str(location)])
+        assert code == 0 and out == fresh, location
+        assert len(err.splitlines()) == 1 and err.startswith("warning:")
+        assert list(tmp_path.rglob("*.tmp")) == [], location
     assert afile.read_text() == "not a directory"
+    assert [p.name for p in cache_dir.iterdir()] == [cache_file.name]
+    assert cache_file.is_dir() and not any(cache_file.iterdir())
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

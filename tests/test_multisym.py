@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -152,19 +153,37 @@ def test_orbit_reps_and_coordinates_are_consistent():
     for rep in reps:
         poly = orbit_sum(2, rep)
         coords = invariant_coordinates(poly, reps)
-        assert coords == [1 if other == rep else 0 for other in reps]
+        assert coords == {reps.index(rep): 1}
+
+
+def _sparse(rows):
+    """Dense rows as the sparse integer rows of ``exact_rank``: each row
+    scaled by the lcm of its denominators, which leaves the rank as it is,
+    and its zeros dropped."""
+    out = []
+    for row in rows:
+        den = math.lcm(*(Fraction(v).denominator for v in row))
+        out.append({j: int(v * den) for j, v in enumerate(row) if v})
+    return out
 
 
 def test_exact_rank():
     one = Fraction(1)
     zero = Fraction(0)
-    for rank in (exact_rank, fraction_rank):
-        rows = [[one, zero], [zero, one], [one, one]]
-        assert rank(rows) == 2
-        assert rank([]) == 0
-        assert rank([[zero, zero]]) == 0
-        assert rank([[Fraction(2, 3), one]]) == 1
-        assert rank([[1, 2], [2, 4]]) == 1
+    cases = [
+        ([[one, zero], [zero, one], [one, one]], 2),
+        ([], 0),
+        ([[zero, zero]], 0),
+        ([[Fraction(2, 3), one]], 1),
+        ([[1, 2], [2, 4]], 1),
+    ]
+    for rows, rank in cases:
+        assert fraction_rank(rows) == rank
+        assert exact_rank(_sparse(rows)) == rank
+    # the full-rank bound counts nonempty rows and the columns that occur
+    assert exact_rank([{}]) == 0
+    assert exact_rank([{5: 3}]) == 1
+    assert exact_rank([{7: 2, 9: -1}, {}, {7: -4, 9: 2}]) == 1
 
 
 def _is_prime(n: int) -> bool:
@@ -251,12 +270,12 @@ def _deficient(draw, entries=ENTRIES, max_dim=7):
 
 @given(_matrices(ENTRIES))
 def test_exact_rank_matches_fraction_rank(rows):
-    assert exact_rank(rows) == fraction_rank(rows)
+    assert exact_rank(_sparse(rows)) == fraction_rank(rows)
 
 
 @given(_deficient())
 def test_exact_rank_matches_fraction_rank_when_deficient(rows):
-    rank = exact_rank(rows)
+    rank = exact_rank(_sparse(rows))
     assert rank == fraction_rank(rows)
     assert rank < min(len(rows), len(rows[0]))
 
@@ -269,7 +288,7 @@ def test_multiples_of_the_first_prime_use_more_primes(rows, k):
     assume(any(any(row) for row in rows))
     rows = [[k * multisym._PRIMES[0] * v for v in row] for row in rows]
     with _spy("_rank_mod") as calls:
-        rank = exact_rank(rows)
+        rank = exact_rank(_sparse(rows))
     assert rank == fraction_rank(rows) > 0
     assert [c[1] for c in calls[:2]] == list(multisym._PRIMES[:2])
 
@@ -296,7 +315,7 @@ def _unliftable(draw, entries=st.integers(2**400, 2**401), max_dim=4):
 @given(_unliftable())
 def test_bound_beyond_the_primes_falls_back_to_fractions(rows):
     with _spy("fraction_rank") as calls:
-        rank = exact_rank(rows)
+        rank = exact_rank(_sparse(rows))
     assert len(calls) == 1
     assert rank == fraction_rank(rows) < len(rows[0])
 
@@ -305,7 +324,7 @@ def test_bound_beyond_the_primes_falls_back_to_fractions(rows):
 def test_small_kernels_certify_huge_deficient_ranks(rows):
     # equal or proportional columns give kernel vectors with small entries;
     # whichever way the rank is proven, it is the rank over Q
-    assert exact_rank(rows) == fraction_rank(rows)
+    assert exact_rank(_sparse(rows)) == fraction_rank(rows)
 
 
 @pytest.mark.parametrize("half", [False, True])
@@ -318,7 +337,7 @@ def test_kernel_certificate_proves_a_rank_with_one_prime(half):
     if half:
         rows = [[2 * a, 2 * b, c] for a, b, c in rows]
     with _spy("_rank_mod") as calls, _spy("fraction_rank") as fallback:
-        assert exact_rank(rows) == 2
+        assert exact_rank(_sparse(rows)) == 2
     assert len(calls) == 1 and fallback == []
 
 
@@ -477,6 +496,8 @@ def test_quotient_rows_match_expanded_products(kind, n):
     for d in range(9):
         rows = multisym._quotient_rows(kind, n, gens, d)
         assert rows == _expanded_quotient_rows(kind, n, gens, d), (kind, n, d)
+        # one entry per distinct pair of the representative multiplied
+        assert all(1 <= len(row) <= n and all(row.values()) for row in rows)
 
 
 @pytest.mark.parametrize("kind, n", ROW_CASES)
