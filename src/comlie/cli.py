@@ -6,6 +6,9 @@ loads no math module.  A ``series`` cache hit is served from the JSON file
 alone and loads no math module; the text format prints the polynomial
 through ``polytext``, which imports nothing.
 
+``main`` builds the argument parser on its first call and reuses it for
+every later call in the process.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
 exceeded (retry with --oracle).
 """
@@ -35,6 +38,10 @@ CACHE_ENV_VAR = "COMLIE_CACHE_DIR"
 
 QUANTITIES = ("ecom", "bcom", "bg", "stable")
 
+#: Largest --maxdeg any command accepts, far above every degree in use; a
+#: larger value is refused up front, not left to overflow a list size.
+MAX_DEGREE = 100_000
+
 #: Schema of the JSON emitted by the series command (and of cache files).
 SERIES_SCHEMA = {
     "type": "object",
@@ -63,6 +70,17 @@ def _dumps(payload: object) -> str:
 def _fail_usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _maxdeg_error(maxdeg: int | None) -> str | None:
+    """The usage error of a --maxdeg outside 0..MAX_DEGREE, else None."""
+    if maxdeg is None:
+        return None
+    if maxdeg < 0:
+        return "--maxdeg must be >= 0"
+    if maxdeg > MAX_DEGREE:
+        return f"--maxdeg must be <= {MAX_DEGREE}"
+    return None
 
 
 def _checked_rank(rank: int | None) -> int:
@@ -189,8 +207,9 @@ def cmd_series(args: argparse.Namespace) -> int:
         rank = None if args.what == "stable" else _checked_rank(args.rank)
     except ValueError as exc:
         return _fail_usage(str(exc))
-    if args.maxdeg < 0:
-        return _fail_usage("--maxdeg must be >= 0")
+    error = _maxdeg_error(args.maxdeg)
+    if error:
+        return _fail_usage(error)
 
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
     cache_path = None
@@ -334,8 +353,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                "Weyl groups (families u, su) only")
         names.remove("fakedeg")
     ranks, _, limit = _STABLE_RANKS[group.family]
-    if args.maxdeg is not None and args.maxdeg < 0:
-        return _fail_usage("--maxdeg must be >= 0")
+    error = _maxdeg_error(args.maxdeg)
+    if error:
+        return _fail_usage(error)
     if "stable" in names and args.maxdeg is not None and args.maxdeg > limit:
         return _fail_usage(f"--maxdeg {args.maxdeg} is past the stable range "
                            f"of {group.family} ranks {ranks}, which agree with "
@@ -379,8 +399,9 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         family = canonical_family(args.family)
     except ValueError as exc:
         return _fail_usage(str(exc))
-    if args.maxdeg < 0:
-        return _fail_usage("--maxdeg must be >= 0")
+    error = _maxdeg_error(args.maxdeg)
+    if error:
+        return _fail_usage(error)
     records = [(a, b, 2 * (a + b))
                for a, b in poincare.generator_catalog(family, args.maxdeg).pairs]
     _print_table(("a", "b", "degree"), records, args.format)
@@ -412,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the conjugacy-class formula instead of the closed form",
     )
-    p_series.set_defaults(func=cmd_series)
 
     p_verify = sub.add_parser("verify", help="run cross-checks")
     p_verify.add_argument("--suite", choices=SUITES, required=True)
@@ -420,14 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--rank", type=int, default=None)
     p_verify.add_argument("--maxdeg", type=int, default=None)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_poset = sub.add_parser("poset", help="table of torus components")
     p_poset.add_argument("--rank", type=int, required=True)
     p_poset.add_argument(
         "--format", choices=("text", "json", "csv"), default="text"
     )
-    p_poset.set_defaults(func=cmd_poset)
 
     p_catalog = sub.add_parser("catalog", help="stable generator catalog")
     p_catalog.add_argument("--family", required=True, help="u, su or sp")
@@ -435,15 +453,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_catalog.add_argument(
         "--format", choices=("text", "json", "csv"), default="text"
     )
-    p_catalog.set_defaults(func=cmd_catalog)
 
     return parser
 
 
+#: The parser of this process, built by the first ``main`` call.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # looked up per call, so a command patched after the first call runs
+    commands = {"series": cmd_series, "verify": cmd_verify,
+                "poset": cmd_poset, "catalog": cmd_catalog}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

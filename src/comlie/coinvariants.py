@@ -14,12 +14,15 @@ of the commuting classifying space is N times that same average.
 Both averages run over conjugacy classes weighted by class size.  On the
 permutation representation det(1 - s*w) is a product of factors
 (1 - sign*s^c)^m, one per distinct cycle length c and sign, and classes
-listed in order share long prefixes of these factors.  A stack keeps
-1/det^2 of each prefix of the previous class, so a class divides only the
-factors past the prefix it shares, each (1 - sign*s^c)^(2m) in one call of
-the factor recurrence.  The weighted sum of these N-free series is
-multiplied by N once at the end, so the oracle scales with the number of
-cycle types, not with the group order.
+listed in order share long prefixes of these factors, so the factor lists
+form a trie.  The sum runs bottom-up over it: each open inner node keeps the
+size-weighted sum of the classes below it, not yet divided by its own factor,
+and divides that sum once by (1 - sign*s^c)^(2m) when the last class below it
+has been added, in one call of the factor recurrence.  A class adds its size
+times the expansion of its last factor alone, so the last factor never
+divides.  The weighted sum of these N-free series is multiplied by N once at
+the end, so the oracle scales with the number of cycle types, not with the
+group order.
 
 Everything stays in exact integers; the final division by the group order is
 checked for exactness and never rounded.
@@ -160,30 +163,51 @@ def _class_average(
     series with coefficients ``numerator`` (through s-degree trunc // 2)
     over det(1 - s*w)^2 on the permutation representation.
 
-    ``stack[i]`` is 1 / (first i factors of the previous class)^2, so a class
-    divides only the factors past the prefix it shares with the previous
-    one; the numerator multiplies the weighted sum once at the end."""
+    The factor runs of each class, in ``_factors`` order, are a path in a
+    trie.  ``path`` holds the inner runs of the open nodes and ``pending[i]``
+    the weighted sum of the classes below ``path[i - 1]`` (the root at
+    ``pending[0]``), not yet divided by that run.  A class closes the nodes
+    past the prefix its inner runs share with ``path`` (divide, then add
+    into the parent), opens the rest, and adds size times the expansion of
+    its last run on the exponents that are multiples of that run's cycle
+    length; the numerator multiplies the root once at the end."""
     s_trunc = trunc // 2
-    acc = [0] * (s_trunc + 1)
-    stack = [[1] + [0] * s_trunc]
-    previous: list[tuple[int, int, int]] = []
+    path: list[tuple[int, int, int]] = []
+    pending = [[0] * (s_trunc + 1)]
+    last_runs: dict[tuple[int, int, int], list[int]] = {}
+
+    def close() -> None:
+        c, sign, m = path.pop()
+        below = pending.pop()
+        if c <= s_trunc:
+            _divide_by_factor(below, c, sign, 2 * m)
+        # past the truncation the factor is 1, but the whole sum moves up
+        pending[-1][:] = map(add, pending[-1], below)
+
     for cycles, size in conjugacy_classes(group):
-        factors = _factors(cycles)
+        *inner, last = _factors(cycles)
         shared = 0
-        for old, new in zip(previous, factors):
+        for old, new in zip(path, inner):
             if old != new:
                 break
             shared += 1
-        del stack[shared + 1 :]
-        for c, sign, m in factors[shared:]:
-            series = stack[-1]
-            if c <= s_trunc:
-                series = series.copy()
-                _divide_by_factor(series, c, sign, 2 * m)
-            stack.append(series)
-        previous = factors
-        acc[:] = map(add, acc, map(size.__mul__, stack[-1]))
-    acc = _convolve(numerator, acc, s_trunc)
+        while len(path) > shared:
+            close()
+        for run in inner[shared:]:
+            path.append(run)
+            pending.append([0] * (s_trunc + 1))
+        series = last_runs.get(last)
+        if series is None:
+            # 1 / (1 - sign*y)^(2m) in y = s^c, through s-degree s_trunc
+            c, sign, m = last
+            series = [1] + [0] * (s_trunc // c)
+            _divide_by_factor(series, 1, sign, 2 * m)
+            last_runs[last] = series
+        target, c = pending[-1], last[0]
+        target[::c] = map(add, target[::c], map(size.__mul__, series))
+    while path:
+        close()
+    acc = _convolve(numerator, pending[0], s_trunc)
     t_coeffs = [0] * (trunc + 1)
     t_coeffs[::2] = _exact_average(acc, group.weyl_order)
     return TruncatedSeries(tuple(t_coeffs))

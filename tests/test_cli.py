@@ -233,6 +233,30 @@ def test_verify_usage_errors(capsys):
         assert (code, out, err) == (2, "", "error: --maxdeg must be >= 0\n")
 
 
+@pytest.mark.parametrize("maxdeg", ["99999999999999999999", "10000000000",
+                                    str(cli.MAX_DEGREE + 1)])
+@pytest.mark.parametrize("argv", [
+    ["series", "--group", "u", "--rank", "2", "--what", "ecom"],
+    ["catalog", "--family", "u"],
+    ["verify", "--suite", "oracle", "--group", "u", "--rank", "2"],
+], ids=lambda argv: argv[0])
+def test_maxdeg_past_the_bound_is_a_usage_error(capsys, argv, maxdeg):
+    code, out, err = run(capsys, argv + ["--maxdeg", maxdeg])
+    assert (code, out, err) == (
+        2, "", f"error: --maxdeg must be <= {cli.MAX_DEGREE}\n")
+
+
+def test_maxdeg_bound_is_accepted_and_documented(capsys):
+    code, out, _ = run(capsys, ["series", "--group", "u", "--rank", "2",
+                                "--what", "ecom", "--format", "json",
+                                "--maxdeg", str(cli.MAX_DEGREE)])
+    assert code == 0
+    assert json.loads(out)["series"]["trunc"] == cli.MAX_DEGREE
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert (f"above {cli.MAX_DEGREE} (`cli.MAX_DEGREE`)"
+            in " ".join(readme.read_text().split()))
+
+
 @pytest.mark.parametrize("family, maxdeg, code", [
     ("u", 17, 0), ("u", 18, 2), ("su", 17, 0), ("su", 18, 2),
     ("sp", 19, 0), ("sp", 20, 2),
@@ -356,6 +380,65 @@ def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["series", "--group", "u", "--what", "nonsense"])
     assert excinfo.value.code == 2
+
+
+#: In-process calls that reuse one parser: argparse usage errors, --version,
+#: a series in each format, a verify, and a usage error of a command.
+REUSE_ARGVS = [
+    ["series", "--group", "u", "--what", "nonsense"],
+    ["--version"],
+    *(["series", "--group", "sp", "--rank", "2", "--what", "bcom",
+       "--maxdeg", "12", "--format", fmt] for fmt in ("json", "csv", "text")),
+    ["verify", "--suite", "oracle", "--group", "su", "--rank", "3",
+     "--maxdeg", "20"],
+    ["bogus"],
+    ["series", "--group", "u"],
+    ["series", "--group", "sp", "--rank", "2", "--what", "bcom",
+     "--maxdeg", "12", "--format", "json"],
+]
+
+
+def _run_catching_exit(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process(capsys, monkeypatch):
+    # argparse wraps usage lines to the terminal width; fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    built = []
+    build_parser = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    in_process = [_run_catching_exit(capsys, argv) for argv in REUSE_ARGVS]
+    assert len(built) == 1
+    assert [code for code, _, _ in in_process] == [2, 0, 0, 0, 0, 0, 2, 2, 0]
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, got in zip(REUSE_ARGVS, in_process):
+        proc = subprocess.run([sys.executable, "-m", "comlie", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+def test_commands_are_looked_up_at_call_time(capsys, monkeypatch):
+    argv = ["series", "--group", "u", "--rank", "2", "--maxdeg", "4"]
+    assert run(capsys, argv)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_series", lambda args: seen.append(args) or 7)
+    assert run(capsys, argv) == (7, "", "")
+    assert [(a.command, a.group, a.rank) for a in seen] == [("series", "u", 2)]
 
 
 MATH_MODULES = {f"comlie.{name}" for name in (

@@ -179,6 +179,21 @@ def test_oracle_bcom_equals_per_class_sum(group):
         assert oracle_bcom(group, trunc) == _reference_bcom(group, trunc)
 
 
+SMALL_GROUPS = (
+    [GroupSpec("u", n) for n in range(1, 8)]
+    + [GroupSpec("su", n) for n in range(2, 8)]
+    + [GroupSpec("sp", n) for n in range(1, 6)])
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=lambda g: g.label)
+def test_oracles_equal_references_at_every_small_truncation(group):
+    # below the longest cycle, inner nodes and last runs lie past the
+    # truncation and must still carry their whole sums
+    for trunc in range(min(group.top_ecom_degree, 40) + 1):
+        assert oracle_ecom(group, trunc) == _reference_ecom(group, trunc), trunc
+        assert oracle_bcom(group, trunc) == _reference_bcom(group, trunc), trunc
+
+
 @pytest.mark.parametrize("group", [GroupSpec("u", 9), GroupSpec("su", 7),
                                    GroupSpec("sp", 5)], ids=lambda g: g.label)
 @pytest.mark.parametrize("oracle", [oracle_ecom, oracle_bcom])
