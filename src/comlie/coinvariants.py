@@ -13,15 +13,17 @@ of the commuting classifying space is N times that same average.
 
 Both averages run over conjugacy classes weighted by class size.  On the
 permutation representation det(1 - s*w) is a product of factors
-(1 - sign*s^c)^m, one per distinct cycle length c and sign, and classes
-listed in order share long prefixes of these factors, so the factor lists
-form a trie.  The sum runs bottom-up over it: each open inner node keeps the
-size-weighted sum of the classes below it, not yet divided by its own factor,
-and divides that sum once by (1 - sign*s^c)^(2m) when the last class below it
-has been added, in one call of the factor recurrence.  A class adds its size
-times the expansion of its last factor alone, so the last factor never
-divides.  The weighted sum of these N-free series is multiplied by N once at
-the end, so the oracle scales with the number of cycle types, not with the
+(1 - sign*s^c)^m, one per distinct cycle length c and sign.  Listed shortest
+cycle first and sorted, the classes share long prefixes of these factors,
+so the factor lists form a trie.  The sum runs bottom-up over it: each open
+inner node keeps the size-weighted sum of the classes below it, not yet
+divided by its own factor, and divides that sum once by (1 - sign*s^c)^(2m)
+when the last class below it has been added, in one call of the factor
+recurrence.  A class adds its size times the expansion of its last factor
+alone, a series in s^c for its longest cycle c, so the last factor never
+divides and touches only every c-th coefficient.  The weighted sum of these
+N-free series is multiplied by N at the end, one factor (1 - s^d) at a
+time, so the oracle scales with the number of cycle types, not with the
 group order.
 
 Everything stays in exact integers; the final division by the group order is
@@ -35,7 +37,7 @@ from operator import add
 from typing import Iterator
 
 from .poincare import GroupSpec
-from .qseries import QPoly, TruncatedSeries, _convolve, _divide_by_factor
+from .qseries import TruncatedSeries, _divide_by_factor, _multiply_by_factor
 from .repa import partitions
 from .weylcomb import CycleData
 
@@ -99,38 +101,34 @@ def _check_consistent(group: GroupSpec, cycles: CycleData) -> None:
         raise ValueError(f"{group.label} has no negative cycles")
 
 
-def _numerator(group: GroupSpec, dets: int) -> QPoly:
-    """Class-independent numerator of prod_i (1 - s^(d_i)) / det(1 - s*w)^dets
-    on the reflection representation.  For SU, whose trivial summand is split
-    off, that determinant is the one on the permutation representation
-    (``_over_det``) over (1 - s)."""
+def _numerator_degrees(group: GroupSpec, dets: int) -> tuple[int, ...]:
+    """Degrees d of the factors (1 - s^d) of the class-independent numerator
+    of prod_i (1 - s^(d_i)) / det(1 - s*w)^dets on the reflection
+    representation.  For SU, whose trivial summand is split off, that
+    determinant is the one on the permutation representation over (1 - s),
+    so each det adds the degree 1."""
     degrees = invariant_degrees(group)
     if group.family == "SU":
         degrees += (1,) * dets
-    poly = QPoly.one()
-    for d in degrees:
-        poly = poly * QPoly({0: 1, d: -1})
-    return poly
-
-
-def _over_det(numerator: list[int], cycles: CycleData, dets: int) -> list[int]:
-    """The numerator divided ``dets`` times by det(1 - s*w) on the
-    permutation representation: the product of (1 - s^c) over positive and
-    (1 + s^c) over negative cycles."""
-    coeffs = numerator.copy()
-    for c, sign, m in _factors(cycles):
-        _divide_by_factor(coeffs, c, sign, dets * m)
-    return coeffs
+    return degrees
 
 
 def coinvariant_char(
     group: GroupSpec, cycles: CycleData, trunc: int
 ) -> TruncatedSeries:
     """Graded trace of a class on the coinvariant algebra, in s = t^2,
-    through degree ``trunc``."""
+    through degree ``trunc``: the numerator divided by det(1 - s*w) on the
+    permutation representation, the product of (1 - s^c) over positive and
+    (1 + s^c) over negative cycles."""
     _check_consistent(group, cycles)
-    numerator = _numerator(group, 1).coefficients_through(trunc)
-    return TruncatedSeries(tuple(_over_det(numerator, cycles, 1)))
+    if trunc < 0:
+        raise ValueError("trunc must be >= 0")
+    coeffs = [1] + [0] * trunc
+    for d in _numerator_degrees(group, 1):
+        _multiply_by_factor(coeffs, d)
+    for c, sign, m in _factors(cycles):
+        _divide_by_factor(coeffs, c, sign, m)
+    return TruncatedSeries(tuple(coeffs))
 
 
 def _exact_average(acc: list[int], order: int) -> list[int]:
@@ -147,30 +145,35 @@ def _exact_average(acc: list[int], order: int) -> list[int]:
 
 def _factors(cycles: CycleData) -> list[tuple[int, int, int]]:
     """Run-length factors (c, sign, m) of det(1 - s*w) on the permutation
-    representation: (1 - sign*s^c)^m for each distinct cycle length c,
-    positive cycles first."""
-    return [
+    representation: (1 - sign*s^c)^m for each distinct cycle length c and
+    sign, sorted ascending, so the longest cycle comes last."""
+    return sorted(
         (c, sign, lengths.count(c))
         for lengths, sign in ((cycles.positive_cycles, 1), (cycles.negative_cycles, -1))
         for c in dict.fromkeys(lengths)
-    ]
+    )
 
 
 def _class_average(
-    group: GroupSpec, trunc: int, numerator: list[int]
+    group: GroupSpec, trunc: int, degrees: tuple[int, ...]
 ) -> TruncatedSeries:
     """Class-size weighted average, through t-degree ``trunc``, of the
-    series with coefficients ``numerator`` (through s-degree trunc // 2)
-    over det(1 - s*w)^2 on the permutation representation.
+    product over ``degrees`` of (1 - s^d) over det(1 - s*w)^2 on the
+    permutation representation.
 
     The factor runs of each class, in ``_factors`` order, are a path in a
-    trie.  ``path`` holds the inner runs of the open nodes and ``pending[i]``
-    the weighted sum of the classes below ``path[i - 1]`` (the root at
-    ``pending[0]``), not yet divided by that run.  A class closes the nodes
-    past the prefix its inner runs share with ``path`` (divide, then add
-    into the parent), opens the rest, and adds size times the expansion of
-    its last run on the exponents that are multiples of that run's cycle
-    length; the numerator multiplies the root once at the end."""
+    trie, and the classes are taken in sorted order of their runs, so each
+    node opens once.  ``path`` holds the inner runs of the open nodes and
+    ``pending[i]`` the weighted sum of the classes below ``path[i - 1]``
+    (the root at ``pending[0]``), not yet divided by that run.  A class
+    closes the nodes past the prefix its inner runs share with ``path``
+    (divide, then add into the parent), opens the rest, and adds size times
+    the expansion of its last run, its longest cycle c, on the exponents
+    that are multiples of c; the root is multiplied by the numerator one
+    factor at a time at the end.  The order only saves work: a node closed
+    early and opened again divides twice, and the sum is the same."""
+    if trunc < 0:
+        raise ValueError("trunc must be >= 0")
     s_trunc = trunc // 2
     path: list[tuple[int, int, int]] = []
     pending = [[0] * (s_trunc + 1)]
@@ -184,8 +187,11 @@ def _class_average(
         # past the truncation the factor is 1, but the whole sum moves up
         pending[-1][:] = map(add, pending[-1], below)
 
-    for cycles, size in conjugacy_classes(group):
-        *inner, last = _factors(cycles)
+    classes = sorted(
+        (_factors(cycles), size) for cycles, size in conjugacy_classes(group)
+    )
+    for runs, size in classes:
+        *inner, last = runs
         shared = 0
         for old, new in zip(path, inner):
             if old != new:
@@ -207,7 +213,9 @@ def _class_average(
         target[::c] = map(add, target[::c], map(size.__mul__, series))
     while path:
         close()
-    acc = _convolve(numerator, pending[0], s_trunc)
+    acc = pending[0]
+    for d in degrees:
+        _multiply_by_factor(acc, d)
     t_coeffs = [0] * (trunc + 1)
     t_coeffs[::2] = _exact_average(acc, group.weyl_order)
     return TruncatedSeries(tuple(t_coeffs))
@@ -215,17 +223,12 @@ def _class_average(
 
 def oracle_ecom(group: GroupSpec, trunc: int) -> TruncatedSeries:
     """Fiber-space series through t-degree ``trunc`` via the class-sum of
-    squared coinvariant characters, (N / det)^2 = N^2 / det^2; N^2 is
-    squared only through the truncation."""
-    numerator = _numerator(group, 1).coefficients_through(trunc // 2)
-    return _class_average(
-        group, trunc, _convolve(numerator, numerator, trunc // 2)
-    )
+    squared coinvariant characters, (N / det)^2 = N^2 / det^2: each factor
+    of N twice."""
+    return _class_average(group, trunc, _numerator_degrees(group, 1) * 2)
 
 
 def oracle_bcom(group: GroupSpec, trunc: int) -> TruncatedSeries:
     """Commuting-classifying-space series through t-degree ``trunc`` via the
     class-sum of character over reflection determinant."""
-    return _class_average(
-        group, trunc, _numerator(group, 2).coefficients_through(trunc // 2)
-    )
+    return _class_average(group, trunc, _numerator_degrees(group, 2))

@@ -9,13 +9,15 @@ so long classes are summed whole at C speed.
 
 Coefficients are dense, constant term first; ``_convolve`` multiplies them
 and ``_divide_by_factor`` runs that recurrence, for the whole library.
+``_multiply_by_factor`` is its inverse, one factor (1 - t^e) at a time, so a
+product of such factors never needs a convolution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, zip_longest
-from operator import mul, neg
+from operator import add, mul, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 from .polytext import poly_text
@@ -248,6 +250,19 @@ def _divide_by_factor(
             for k in range(exp, size):
                 coeffs[k] += sign * coeffs[k - exp]
             times -= 1
+
+
+def _multiply_by_factor(
+    coeffs: list[int], exp: int, sign: int = 1, times: int = 1
+) -> None:
+    """In place, multiply the series by (1 - sign*t^exp)^times through the
+    list length: c[k] -= sign*c[k - exp] for every k at once, ``times``
+    times; the inverse of ``_divide_by_factor``."""
+    if exp >= len(coeffs):
+        return
+    step = sub if sign > 0 else add
+    for _ in range(times):
+        coeffs[exp:] = map(step, coeffs[exp:], coeffs[:-exp])
 
 
 def _normalize_factors(

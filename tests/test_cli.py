@@ -257,6 +257,33 @@ def test_maxdeg_bound_is_accepted_and_documented(capsys):
             in " ".join(readme.read_text().split()))
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "--group", "u", "--what", "stable"],
+    ["catalog", "--family", "sp"],
+], ids=lambda argv: argv[0])
+def test_stable_maxdeg_past_its_bound_is_refused_before_the_catalog(
+    capsys, monkeypatch, argv
+):
+    catalog = poincare.generator_catalog
+    built = []
+
+    def small_catalog(family, max_degree):
+        built.append(max_degree)
+        return catalog(family, 8)
+
+    monkeypatch.setattr(poincare, "generator_catalog", small_catalog)
+    bound = cli.MAX_STABLE_DEGREE
+    code, out, err = run(capsys, argv + ["--maxdeg", str(bound + 1)])
+    assert (code, out, built) == (2, "", [])
+    assert err == (f"error: --maxdeg must be <= {bound} (MAX_STABLE_DEGREE) "
+                   "for the stable catalog\n")
+    code, _, _ = run(capsys, argv + ["--maxdeg", str(bound)])
+    assert (code, built) == (0, [bound])
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert (f"above {bound} (`cli.MAX_STABLE_DEGREE`)"
+            in " ".join(readme.read_text().split()))
+
+
 @pytest.mark.parametrize("family, maxdeg, code", [
     ("u", 17, 0), ("u", 18, 2), ("su", 17, 0), ("su", 18, 2),
     ("sp", 19, 0), ("sp", 20, 2),

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -212,7 +213,40 @@ def test_oracle_sums_every_class_in_one_pass(monkeypatch, group, oracle):
     assert calls == [classes]
 
 
-def test_oracle_ecom_squares_once_per_call(monkeypatch):
+@pytest.mark.parametrize("group", [GroupSpec("u", 9), GroupSpec("su", 7),
+                                   GroupSpec("sp", 5)], ids=lambda g: g.label)
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_oracles_do_not_depend_on_class_order(monkeypatch, group, order):
+    truncs = (0, 1, 9, 30, group.top_ecom_degree)
+    expected = [(oracle_ecom(group, t), oracle_bcom(group, t)) for t in truncs]
+    classes = list(conjugacy_classes(group))
+    if order == "reversed":
+        classes.reverse()
+    else:
+        random.Random(7).shuffle(classes)
+    monkeypatch.setattr(coinvariants, "conjugacy_classes",
+                        lambda g: iter(classes))
+    assert [(oracle_ecom(group, t), oracle_bcom(group, t))
+            for t in truncs] == expected
+
+
+@pytest.mark.parametrize("oracle", [oracle_ecom, oracle_bcom])
+def test_oracle_refuses_negative_truncation_before_any_class(monkeypatch,
+                                                             oracle):
+    yielded = []
+
+    def spied(g):
+        for item in conjugacy_classes(g):
+            yielded.append(item)
+            yield item
+
+    monkeypatch.setattr(coinvariants, "conjugacy_classes", spied)
+    with pytest.raises(ValueError, match="trunc must be >= 0"):
+        oracle(GroupSpec("u", 5), -1)
+    assert yielded == []
+
+
+def test_oracles_call_no_convolution(monkeypatch):
     convolve = qseries._convolve
     calls = []
 
@@ -220,18 +254,13 @@ def test_oracle_ecom_squares_once_per_call(monkeypatch):
         calls.append(trunc)
         return convolve(a, b, trunc)
 
-    group = GroupSpec("u", 12)
-    classes = sum(1 for _ in conjugacy_classes(group))
     monkeypatch.setattr(qseries, "_convolve", counted)
     monkeypatch.setattr(coinvariants, "_convolve", counted, raising=False)
-    oracle_bcom(group, 60)
-    bcom_calls = len(calls)
-    calls.clear()
-    oracle_ecom(group, 60)
-    # the numerator's factors and one square, however many classes there are
-    assert classes == 77
-    assert len(calls) <= bcom_calls + 1
-    assert len(calls) < classes
+    # the numerator is applied one factor at a time, never as a product
+    for group in (GroupSpec("u", 12), GroupSpec("su", 9), GroupSpec("sp", 6)):
+        oracle_bcom(group, 60)
+        oracle_ecom(group, 60)
+    assert calls == []
 
 
 def test_exact_average_raises_on_non_integer():

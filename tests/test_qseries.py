@@ -5,7 +5,9 @@ from comlie.qseries import (
     QPoly,
     RationalSeries,
     TruncatedSeries,
+    _convolve,
     _divide_by_factor,
+    _multiply_by_factor,
     exact_div,
     product_series,
 )
@@ -209,3 +211,24 @@ def test_divide_by_factor_on_every_route(size, exp, sign):
     coeffs = [(7 * k * k + 3) % 23 - 11 for k in range(size)]
     for times in (1, 2, 3, 4):
         _check_divide_by_factor(coeffs, exp, sign, times)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.one_of(st.integers(-9, 9), st.integers(-10**30, 10**30)),
+             min_size=1, max_size=120),
+    st.one_of(st.integers(1, 6), st.integers(1, 140)),
+    st.sampled_from((1, -1)),
+    st.integers(0, 4),
+)
+def test_multiply_by_factor_is_the_truncated_product(coeffs, exp, sign, times):
+    factor = QPoly.one()
+    for _ in range(times):
+        factor = factor * QPoly({0: 1, exp: -sign})
+    got = list(coeffs)
+    assert _multiply_by_factor(got, exp, sign, times) is None
+    assert got == _convolve(coeffs, list(factor._coeffs), len(coeffs) - 1)
+    if exp >= len(coeffs):
+        assert got == coeffs
+    _divide_by_factor(got, exp, sign, times)
+    assert got == coeffs
