@@ -212,6 +212,8 @@ def _write_cache(path: Path, text: str) -> None:
 def cmd_series(args: argparse.Namespace) -> int:
     from .families import canonical_family
 
+    if args.oracle and args.what not in ("ecom", "bcom"):
+        return _fail_usage("--oracle applies to --what ecom|bcom")
     try:
         family = canonical_family(args.group)
         rank = None if args.what == "stable" else _checked_rank(args.rank)
@@ -441,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument(
         "--oracle",
         action="store_true",
-        help="use the conjugacy-class formula instead of the closed form",
+        help="use the conjugacy-class formula instead of the closed form "
+        "(--what ecom|bcom only)",
     )
 
     p_verify = sub.add_parser("verify", help="run cross-checks")

@@ -13,13 +13,19 @@ of the commuting classifying space is N times that same average.
 
 Both averages run over conjugacy classes weighted by class size.  On the
 permutation representation det(1 - s*w) is a product of factors
-(1 - sign*s^c)^m, one per distinct cycle length c and sign.  Listed shortest
-cycle first and sorted, the classes share long prefixes of these factors,
-so the factor lists form a trie.  The sum runs bottom-up over it: each open
-inner node keeps the size-weighted sum of the classes below it, not yet
-divided by its own factor, and divides that sum once by (1 - sign*s^c)^(2m)
-when the last class below it has been added, in one call of the factor
-recurrence.  A class adds its size times the expansion of its last factor
+(1 - sign*s^c)^m, one per distinct cycle length c and sign, read in one
+walk over each nonincreasing cycle tuple.  Listed shortest cycle first and
+sorted, the classes share long prefixes of these factors, so the factor
+lists form a trie.  The sum runs bottom-up over it: each open inner node
+keeps the size-weighted sum of the classes below it, not yet divided by its
+own factor, and divides that sum once by (1 - sign*s^c)^(2m) when the last
+class below it has been added, in one call of the factor recurrence.  Nodes
+of one cycle (c, sign) under one parent come largest m first, and such a
+node hands its sum on to the next one, m' < m, Horner style: it divides by
+(1 - sign*s^c)^(2(m - m')) only, and the next node's own division does the
+rest, with no addition into the parent between them.  A node's list is
+made on first use, by the first leaf below it or by the sibling that hands
+its sum on.  A class adds its size times the expansion of its last factor
 alone, a series in s^c for its longest cycle c, so the last factor never
 divides and touches only every c-th coefficient.  The weighted sum of these
 N-free series is multiplied by N at the end, one factor (1 - s^d) at a
@@ -47,12 +53,27 @@ class IntegralityError(ArithmeticError):
     the character formula is inconsistent."""
 
 
+def _runs(lengths: tuple[int, ...], sign: int = 1) -> list[tuple[int, int, int]]:
+    """Runs (c, sign, -m) of a nonincreasing tuple of cycle lengths, one per
+    distinct length c of multiplicity m, ascending in c.  The walk starts
+    at the end of the tuple, where the shortest cycles are, and each run
+    begins at the first index of its length."""
+    runs = []
+    end = len(lengths)
+    while end:
+        c = lengths[end - 1]
+        start = lengths.index(c)
+        runs.append((c, sign, start - end))
+        end = start
+    return runs
+
+
 def _cycle_type_weight(lengths: tuple[int, ...]) -> int:
-    """Centralizer factor prod_k k^(m_k) * m_k! of a cycle-length multiset."""
+    """Centralizer factor prod_k k^(m_k) * m_k! of a cycle-length multiset,
+    stored nonincreasing."""
     weight = 1
-    for length in dict.fromkeys(lengths):
-        mult = lengths.count(length)
-        weight *= length**mult * factorial(mult)
+    for c, _, neg_m in _runs(lengths):
+        weight *= c**-neg_m * factorial(-neg_m)
     return weight
 
 
@@ -72,12 +93,9 @@ def signed_conjugacy_classes(n: int) -> Iterator[tuple[CycleData, int]]:
     order = 2**n * factorial(n)
     for pos_size in range(n + 1):
         for pos in partitions(pos_size):
+            pos_weight = _cycle_type_weight(pos) * 2 ** len(pos)
             for neg in partitions(n - pos_size):
-                centralizer = (
-                    _cycle_type_weight(pos)
-                    * _cycle_type_weight(neg)
-                    * 2 ** (len(pos) + len(neg))
-                )
+                centralizer = pos_weight * _cycle_type_weight(neg) * 2 ** len(neg)
                 yield CycleData(pos, neg), order // centralizer
 
 
@@ -92,15 +110,6 @@ def invariant_degrees(group: GroupSpec) -> tuple[int, ...]:
     return group._invariant_degrees
 
 
-def _check_consistent(group: GroupSpec, cycles: CycleData) -> None:
-    if cycles.size != group.n:
-        raise ValueError(
-            f"cycle data of size {cycles.size} for a rank-{group.n} group"
-        )
-    if group.weyl_kind == "sym" and cycles.negative_cycles:
-        raise ValueError(f"{group.label} has no negative cycles")
-
-
 def _numerator_degrees(group: GroupSpec, dets: int) -> tuple[int, ...]:
     """Degrees d of the factors (1 - s^d) of the class-independent numerator
     of prod_i (1 - s^(d_i)) / det(1 - s*w)^dets on the reflection
@@ -111,24 +120,6 @@ def _numerator_degrees(group: GroupSpec, dets: int) -> tuple[int, ...]:
     if group.family == "SU":
         degrees += (1,) * dets
     return degrees
-
-
-def coinvariant_char(
-    group: GroupSpec, cycles: CycleData, trunc: int
-) -> TruncatedSeries:
-    """Graded trace of a class on the coinvariant algebra, in s = t^2,
-    through degree ``trunc``: the numerator divided by det(1 - s*w) on the
-    permutation representation, the product of (1 - s^c) over positive and
-    (1 + s^c) over negative cycles."""
-    _check_consistent(group, cycles)
-    if trunc < 0:
-        raise ValueError("trunc must be >= 0")
-    coeffs = [1] + [0] * trunc
-    for d in _numerator_degrees(group, 1):
-        _multiply_by_factor(coeffs, d)
-    for c, sign, m in _factors(cycles):
-        _divide_by_factor(coeffs, c, sign, m)
-    return TruncatedSeries(tuple(coeffs))
 
 
 def _exact_average(acc: list[int], order: int) -> list[int]:
@@ -144,14 +135,15 @@ def _exact_average(acc: list[int], order: int) -> list[int]:
 
 
 def _factors(cycles: CycleData) -> list[tuple[int, int, int]]:
-    """Run-length factors (c, sign, m) of det(1 - s*w) on the permutation
-    representation: (1 - sign*s^c)^m for each distinct cycle length c and
-    sign, sorted ascending, so the longest cycle comes last."""
-    return sorted(
-        (c, sign, lengths.count(c))
-        for lengths, sign in ((cycles.positive_cycles, 1), (cycles.negative_cycles, -1))
-        for c in dict.fromkeys(lengths)
-    )
+    """Run-length factors (c, sign, -m) of det(1 - s*w) on the permutation
+    representation, (1 - sign*s^c)^m for each distinct cycle length c and
+    sign, ascending in (c, sign), so the longest cycle comes last.  Keyed
+    by -m, sorted classes meet the runs of one (c, sign) largest m first."""
+    runs = _runs(cycles.positive_cycles)
+    if cycles.negative_cycles:
+        runs += _runs(cycles.negative_cycles, -1)
+        runs.sort()  # merges the two ascending run lists
+    return runs
 
 
 def _class_average(
@@ -165,25 +157,35 @@ def _class_average(
     trie, and the classes are taken in sorted order of their runs, so each
     node opens once.  ``path`` holds the inner runs of the open nodes and
     ``pending[i]`` the weighted sum of the classes below ``path[i - 1]``
-    (the root at ``pending[0]``), not yet divided by that run.  A class
-    closes the nodes past the prefix its inner runs share with ``path``
-    (divide, then add into the parent), opens the rest, and adds size times
-    the expansion of its last run, its longest cycle c, on the exponents
-    that are multiples of c; the root is multiplied by the numerator one
-    factor at a time at the end.  The order only saves work: a node closed
-    early and opened again divides twice, and the sum is the same."""
+    (the root at ``pending[0]``), not yet divided by that run, or None
+    while nothing has been added to it.  A class closes the nodes past the
+    prefix its inner runs share with ``path`` (divide, then add into the
+    parent) and opens the rest.  When the deepest node it leaves is
+    (c, sign, m) and its own run there is (c, sign, m') with m' < m, that
+    node is not closed but carried over, Horner style: its sum is divided
+    by the quotient (1 - sign*s^c)^(2(m - m')) only and becomes the pending
+    sum of the new node, whose own division supplies the rest.  The class
+    then adds size times the expansion of its last run, its longest cycle
+    c, on the exponents that are multiples of c, into a fresh list if the
+    node has none.  A closing node always finds its parent's list: a node
+    that no sibling carries into is the first of its (c, sign) under its
+    parent, with the largest m, so at most 2c cycle cells remain below it,
+    fewer than two later runs need (c + (c + 1)), and every class below it
+    adds a leaf.  The root is multiplied by the numerator one factor at a
+    time at the end.  The sort is what makes the carries valid, so the sum
+    does not depend on the order ``conjugacy_classes`` yields."""
     if trunc < 0:
         raise ValueError("trunc must be >= 0")
     s_trunc = trunc // 2
     path: list[tuple[int, int, int]] = []
-    pending = [[0] * (s_trunc + 1)]
+    pending: list[list[int] | None] = [None]
     last_runs: dict[tuple[int, int, int], list[int]] = {}
 
     def close() -> None:
-        c, sign, m = path.pop()
+        c, sign, neg_m = path.pop()
         below = pending.pop()
         if c <= s_trunc:
-            _divide_by_factor(below, c, sign, 2 * m)
+            _divide_by_factor(below, c, sign, -2 * neg_m)
         # past the truncation the factor is 1, but the whole sum moves up
         pending[-1][:] = map(add, pending[-1], below)
 
@@ -191,26 +193,41 @@ def _class_average(
         (_factors(cycles), size) for cycles, size in conjugacy_classes(group)
     )
     for runs, size in classes:
-        *inner, last = runs
+        last = runs.pop()
         shared = 0
-        for old, new in zip(path, inner):
+        for old, new in zip(path, runs):
             if old != new:
                 break
             shared += 1
-        while len(path) > shared:
+        while len(path) > shared + 1:
             close()
-        for run in inner[shared:]:
+        if len(path) > shared:
+            c, sign, neg_m = path[-1]
+            new = runs[shared] if shared < len(runs) else None
+            if new and new[0] == c and new[1] == sign:
+                # sorted, so m' < m: new[2] - neg_m = m - m' > 0
+                if c <= s_trunc:
+                    _divide_by_factor(pending[-1], c, sign, 2 * (new[2] - neg_m))
+                path[-1] = new
+                shared += 1
+            else:
+                close()
+        for run in runs[shared:]:
             path.append(run)
-            pending.append([0] * (s_trunc + 1))
+            pending.append(None)
+        c = last[0]
         series = last_runs.get(last)
         if series is None:
             # 1 / (1 - sign*y)^(2m) in y = s^c, through s-degree s_trunc
-            c, sign, m = last
             series = [1] + [0] * (s_trunc // c)
-            _divide_by_factor(series, 1, sign, 2 * m)
+            _divide_by_factor(series, 1, last[1], -2 * last[2])
             last_runs[last] = series
-        target, c = pending[-1], last[0]
-        target[::c] = map(add, target[::c], map(size.__mul__, series))
+        target = pending[-1]
+        if target is None:
+            target = pending[-1] = [0] * (s_trunc + 1)
+            target[::c] = map(size.__mul__, series)
+        else:
+            target[::c] = map(add, target[::c], map(size.__mul__, series))
     while path:
         close()
     acc = pending[0]

@@ -103,30 +103,6 @@ def bcom_series(group: GroupSpec) -> RationalSeries:
     return RationalSeries(ecom_numerator(group), group.bg_denominator_factors)
 
 
-def product_ecom_numerator(groups: list[GroupSpec]) -> QPoly:
-    """Fiber-space numerator of a finite cartesian product of groups."""
-    out = QPoly.one()
-    for g in groups:
-        out = out * ecom_numerator(g)
-    return out
-
-
-def product_bcom_series(groups: list[GroupSpec]) -> RationalSeries:
-    """Series of the commuting classifying space of a cartesian product;
-    numerators multiply and denominator factors merge."""
-    out = RationalSeries(QPoly.one())
-    for g in groups:
-        out = out * bcom_series(g)
-    return out
-
-
-def product_bg_series(groups: list[GroupSpec]) -> RationalSeries:
-    out = RationalSeries(QPoly.one())
-    for g in groups:
-        out = out * bg_series(g)
-    return out
-
-
 @dataclass(frozen=True)
 class GeneratorCatalog:
     """Bidegree pairs (a, b) of the stable polynomial generators; the

@@ -51,7 +51,9 @@ class CycleData:
         object.__setattr__(
             self, "negative_cycles", tuple(sorted(self.negative_cycles, reverse=True))
         )
-        if any(c < 1 for c in self.positive_cycles + self.negative_cycles):
+        # sorted nonincreasing, so the last entry is the smallest
+        pos, neg = self.positive_cycles, self.negative_cycles
+        if (pos and pos[-1] < 1) or (neg and neg[-1] < 1):
             raise ValueError("cycle lengths must be positive")
 
     @property

@@ -75,6 +75,22 @@ def test_series_usage_errors(capsys):
     assert code == 2 and "--rank" in err
 
 
+@pytest.mark.parametrize("what", ["bg", "stable"])
+def test_series_oracle_outside_ecom_bcom_is_refused_before_computing(
+        capsys, tmp_path, monkeypatch, what):
+    def refuse(*args):
+        raise AssertionError("computed a series")
+
+    for name in ("bg_series", "stable_bcom"):
+        monkeypatch.setattr(poincare, name, refuse)
+    code, out, err = run(capsys, ["series", "--group", "u", "--rank", "3",
+                                  "--what", what, "--oracle",
+                                  "--cache-dir", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert "--oracle applies to --what ecom|bcom" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_series_cap_exceeded_suggests_oracle(capsys):
     code, _, err = run(
         capsys, ["series", "--group", "u", "--rank", "10", "--what", "ecom"]

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -7,7 +9,6 @@ from comlie import coinvariants, qseries
 from comlie.coinvariants import (
     IntegralityError,
     _exact_average,
-    coinvariant_char,
     conjugacy_classes,
     invariant_degrees,
     oracle_bcom,
@@ -19,20 +20,34 @@ from comlie.poincare import GroupSpec, bcom_series, ecom_numerator
 from comlie.qseries import TruncatedSeries
 from comlie.repa import q_factorial
 from comlie.weylcomb import CycleData, elements, group_order
+from reference import coinvariant_char
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+def _reference_class_size(cycles: CycleData, signed: bool) -> int:
+    """|W| / z with z = prod_k k^(m_k) m_k! per cycle type, times 2 per
+    cycle for a signed class, the multiplicities counted by ``Counter``."""
+    n = cycles.size
+    z = 1
+    for lengths in (cycles.positive_cycles, cycles.negative_cycles):
+        for c, m in Counter(lengths).items():
+            z *= c**m * factorial(m) * (2**m if signed else 1)
+    return (2**n if signed else 1) * factorial(n) // z
+
+
+@pytest.mark.parametrize("n", range(1, 23))
 def test_symmetric_class_sizes_sum_to_group_order(n):
-    assert sum(size for _, size in symmetric_conjugacy_classes(n)) == group_order(
-        "sym", n
-    )
+    classes = list(symmetric_conjugacy_classes(n))
+    assert all(size == _reference_class_size(cycles, False)
+               for cycles, size in classes)
+    assert sum(size for _, size in classes) == group_order("sym", n)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 12))
 def test_signed_class_sizes_sum_to_group_order(n):
-    assert sum(size for _, size in signed_conjugacy_classes(n)) == group_order(
-        "signed", n
-    )
+    classes = list(signed_conjugacy_classes(n))
+    assert all(size == _reference_class_size(cycles, True)
+               for cycles, size in classes)
+    assert sum(size for _, size in classes) == group_order("signed", n)
 
 
 @pytest.mark.parametrize("kind,n", [("sym", 3), ("sym", 4), ("signed", 2), ("signed", 3)])
@@ -184,13 +199,20 @@ SMALL_GROUPS = (
     [GroupSpec("u", n) for n in range(1, 8)]
     + [GroupSpec("su", n) for n in range(2, 8)]
     + [GroupSpec("sp", n) for n in range(1, 6)])
+#: Long chains of same-cycle siblings that carry their sums on, chains
+#: with c > s_trunc, and leaves between inner siblings; up to degree 30.
+CHAIN_GROUPS = (
+    [GroupSpec(family, n) for family in ("u", "su") for n in range(8, 11)]
+    + [GroupSpec("sp", 6)])
 
 
-@pytest.mark.parametrize("group", SMALL_GROUPS, ids=lambda g: g.label)
+@pytest.mark.parametrize("group", SMALL_GROUPS + CHAIN_GROUPS,
+                         ids=lambda g: g.label)
 def test_oracles_equal_references_at_every_small_truncation(group):
     # below the longest cycle, inner nodes and last runs lie past the
     # truncation and must still carry their whole sums
-    for trunc in range(min(group.top_ecom_degree, 40) + 1):
+    top = 30 if group in CHAIN_GROUPS else 40
+    for trunc in range(min(group.top_ecom_degree, top) + 1):
         assert oracle_ecom(group, trunc) == _reference_ecom(group, trunc), trunc
         assert oracle_bcom(group, trunc) == _reference_bcom(group, trunc), trunc
 
@@ -244,6 +266,43 @@ def test_oracle_refuses_negative_truncation_before_any_class(monkeypatch,
     with pytest.raises(ValueError, match="trunc must be >= 0"):
         oracle(GroupSpec("u", 5), -1)
     assert yielded == []
+
+
+def test_same_cycle_siblings_carry_their_sum_on(monkeypatch):
+    # U(4), s-degree 8, classes in run order: 1111, 211, 31, 22, 4.  The
+    # node (1 - s)^2 of 211 divides by (1 - s)^2 only and carries its sum
+    # on as the node (1 - s)^1 of 31, which 22 closes by (1 - s)^2; a leaf
+    # divides its own short expansion once per distinct last run.
+    divide = coinvariants._divide_by_factor
+    calls = []
+
+    def spied(coeffs, exp, sign=1, times=1):
+        calls.append((len(coeffs), exp, sign, times))
+        divide(coeffs, exp, sign, times)
+
+    monkeypatch.setattr(coinvariants, "_divide_by_factor", spied)
+    assert oracle_bcom(GroupSpec("u", 4), 16) == bcom_series(
+        GroupSpec("u", 4)).expand(16)
+    assert calls == [(9, 1, 1, 8), (5, 1, 1, 2), (9, 1, 1, 2), (3, 1, 1, 2),
+                     (9, 1, 1, 2), (5, 1, 1, 4), (3, 1, 1, 2)]
+
+
+def test_factors_are_ascending_runs_of_both_signs():
+    assert coinvariants._factors(CycleData((3, 1, 1, 1), (3, 2, 2))) == [
+        (1, 1, -3), (2, -1, -2), (3, -1, -1), (3, 1, -1)]
+    assert coinvariants._factors(CycleData((), (1,))) == [(1, -1, -1)]
+    for n in range(1, 12):
+        for cycles, _ in signed_conjugacy_classes(n):
+            runs = coinvariants._factors(cycles)
+            assert runs == sorted(runs)
+            expanded = Counter()
+            for c, sign, neg_m in runs:
+                expanded[c, sign] += -neg_m
+            assert expanded == Counter(
+                [(c, 1) for c in cycles.positive_cycles]
+                + [(c, -1) for c in cycles.negative_cycles])
+            assert prod(c**-neg_m for c, _, neg_m in runs) == prod(
+                cycles.positive_cycles + cycles.negative_cycles)
 
 
 def test_oracles_call_no_convolution(monkeypatch):

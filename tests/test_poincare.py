@@ -9,9 +9,6 @@ from comlie.poincare import (
     bg_series,
     ecom_numerator,
     generator_catalog,
-    product_bcom_series,
-    product_bg_series,
-    product_ecom_numerator,
     stable_bcom,
     stable_weights,
     verify_product_relation,
@@ -19,6 +16,7 @@ from comlie.poincare import (
 )
 from comlie.qseries import QPoly
 from comlie.weylcomb import GroupSizeError
+from reference import product_bcom_series, product_bg_series, product_ecom_numerator
 
 ALL_GROUPS = (
     [GroupSpec("U", n) for n in range(1, 6)]

@@ -174,3 +174,21 @@ def test_pair_statistic_kernel_cap():
         pair_statistic_counts("signed", 6)
     with pytest.raises(GroupSizeError, match="oracle"):
         list(elements("sym", 10))
+
+
+@pytest.mark.parametrize("positive,negative", [
+    ((0,), ()), ((), (0,)), ((-1,), ()), ((), (-3,)),
+    ((1, 0, 3), ()), ((0, 2), ()), ((2, -1, 1), (1,)),
+    ((), (2, -1)), ((1,), (0, 4)), ((3,), (-2, 5, 1)),
+])
+def test_cycle_data_rejects_nonpositive_lengths(positive, negative):
+    # unsorted input too: the check reads the smallest entry after sorting
+    with pytest.raises(ValueError, match="cycle lengths must be positive"):
+        CycleData(positive, negative)
+
+
+def test_cycle_data_sorts_each_tuple_nonincreasing():
+    cycles = CycleData((1, 3, 2, 3), (1, 2))
+    assert cycles.positive_cycles == (3, 3, 2, 1)
+    assert cycles.negative_cycles == (2, 1)
+    assert CycleData(()) == CycleData((), ())
