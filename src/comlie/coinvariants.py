@@ -13,24 +13,16 @@ of the commuting classifying space is N times that same average.
 
 Both averages run over conjugacy classes weighted by class size.  On the
 permutation representation det(1 - s*w) is a product of factors
-(1 - sign*s^c)^m, one per distinct cycle length c and sign, read in one
-walk over each nonincreasing cycle tuple.  Listed shortest cycle first and
-sorted, the classes share long prefixes of these factors, so the factor
-lists form a trie.  The sum runs bottom-up over it: each open inner node
-keeps the size-weighted sum of the classes below it, not yet divided by its
-own factor, and divides that sum once by (1 - sign*s^c)^(2m) when the last
-class below it has been added, in one call of the factor recurrence.  Nodes
-of one cycle (c, sign) under one parent come largest m first, and such a
-node hands its sum on to the next one, m' < m, Horner style: it divides by
-(1 - sign*s^c)^(2(m - m')) only, and the next node's own division does the
-rest, with no addition into the parent between them.  A node's list is
-made on first use, by the first leaf below it or by the sibling that hands
-its sum on.  A class adds its size times the expansion of its last factor
-alone, a series in s^c for its longest cycle c, so the last factor never
-divides and touches only every c-th coefficient.  The weighted sum of these
-N-free series is multiplied by N at the end, one factor (1 - s^d) at a
-time, so the oracle scales with the number of cycle types, not with the
-group order.
+(1 - sign*s^c)^m, one per distinct cycle length c and sign, and
+``conjugacy_classes`` gives each class as these factor runs, shortest cycle
+first, with its size.  Sorted, the run tuples form a trie, which
+``_class_average`` sums bottom-up: each inner node divides the size-weighted
+sum of the classes below it once by its own factor, or, Horner style, only
+by the quotient power when a same-cycle sibling of smaller multiplicity
+takes its sum on; a class adds its size times the expansion of its
+longest-cycle factor alone, without dividing.  The weighted sum is
+multiplied by N at the end, one factor (1 - s^d) at a time, so the oracle
+scales with the number of cycle types, not with the group order.
 
 Everything stays in exact integers; the final division by the group order is
 checked for exactness and never rounded.
@@ -45,7 +37,6 @@ from typing import Iterator
 from .poincare import GroupSpec
 from .qseries import TruncatedSeries, _divide_by_factor, _multiply_by_factor
 from .repa import partitions
-from .weylcomb import CycleData
 
 
 class IntegralityError(ArithmeticError):
@@ -53,7 +44,10 @@ class IntegralityError(ArithmeticError):
     the character formula is inconsistent."""
 
 
-def _runs(lengths: tuple[int, ...], sign: int = 1) -> list[tuple[int, int, int]]:
+Run = tuple[int, int, int]
+
+
+def _runs(lengths: tuple[int, ...], sign: int = 1) -> tuple[Run, ...]:
     """Runs (c, sign, -m) of a nonincreasing tuple of cycle lengths, one per
     distinct length c of multiplicity m, ascending in c.  The walk starts
     at the end of the tuple, where the shortest cycles are, and each run
@@ -65,44 +59,45 @@ def _runs(lengths: tuple[int, ...], sign: int = 1) -> list[tuple[int, int, int]]
         start = lengths.index(c)
         runs.append((c, sign, start - end))
         end = start
-    return runs
+    return tuple(runs)
 
 
-def _cycle_type_weight(lengths: tuple[int, ...]) -> int:
-    """Centralizer factor prod_k k^(m_k) * m_k! of a cycle-length multiset,
-    stored nonincreasing."""
-    weight = 1
-    for c, _, neg_m in _runs(lengths):
-        weight *= c**-neg_m * factorial(-neg_m)
-    return weight
+def _centralizer(runs: tuple[Run, ...], cycle_factor: int = 1) -> int:
+    """Centralizer order prod (cycle_factor*c)^m * m! over the runs."""
+    order = 1
+    for c, _, neg_m in runs:
+        order *= (cycle_factor * c) ** -neg_m * factorial(-neg_m)
+    return order
 
 
-def symmetric_conjugacy_classes(n: int) -> Iterator[tuple[CycleData, int]]:
-    """Cycle types of the symmetric group with their class sizes."""
-    n_fact = factorial(n)
-    for shape in partitions(n):
-        yield CycleData(shape), n_fact // _cycle_type_weight(shape)
+def conjugacy_classes(group: GroupSpec) -> Iterator[tuple[tuple[Run, ...], int]]:
+    """Each conjugacy class of the Weyl group once, as its factor runs and
+    its size.  The runs (c, sign, -m) stand for the factors
+    (1 - sign*s^c)^m of det(1 - s*w) on the permutation representation,
+    one per distinct cycle length c and sign, ascending in (c, sign), so
+    the longest cycle comes last.  Keyed by -m, sorted classes meet the
+    runs of one (c, sign) largest m first.
 
-
-def signed_conjugacy_classes(n: int) -> Iterator[tuple[CycleData, int]]:
-    """Signed cycle types (pairs of partitions) with their class sizes.
-
-    The centralizer of a class with positive type lam+ and negative type
-    lam- has order prod (2k)^(m_k) m_k! taken over both types.
-    """
-    order = 2**n * factorial(n)
-    for pos_size in range(n + 1):
-        for pos in partitions(pos_size):
-            pos_weight = _cycle_type_weight(pos) * 2 ** len(pos)
-            for neg in partitions(n - pos_size):
-                centralizer = pos_weight * _cycle_type_weight(neg) * 2 ** len(neg)
-                yield CycleData(pos, neg), order // centralizer
-
-
-def conjugacy_classes(group: GroupSpec) -> Iterator[tuple[CycleData, int]]:
+    A signed class pairs a positive cycle type of size k with a negative
+    one of size n - k; its centralizer has order prod (2c)^m * m! over
+    both, so each type's runs and centralizer are made once."""
+    n, order = group.n, group.weyl_order
     if group.weyl_kind == "sym":
-        return symmetric_conjugacy_classes(group.n)
-    return signed_conjugacy_classes(group.n)
+        for shape in partitions(n):
+            runs = _runs(shape)
+            yield runs, order // _centralizer(runs)
+        return
+    cycle_types = {}
+    for k in range(n + 1):
+        shapes = partitions(k)
+        for sign in (1, -1):
+            cycle_types[k, sign] = [(runs, _centralizer(runs, 2))
+                                    for runs in (_runs(s, sign) for s in shapes)]
+    for k in range(n + 1):
+        for pos, pos_order in cycle_types[k, 1]:
+            for neg, neg_order in cycle_types[n - k, -1]:
+                # merges the two ascending run tuples
+                yield tuple(sorted(pos + neg)), order // (pos_order * neg_order)
 
 
 def invariant_degrees(group: GroupSpec) -> tuple[int, ...]:
@@ -134,18 +129,6 @@ def _exact_average(acc: list[int], order: int) -> list[int]:
     return out
 
 
-def _factors(cycles: CycleData) -> list[tuple[int, int, int]]:
-    """Run-length factors (c, sign, -m) of det(1 - s*w) on the permutation
-    representation, (1 - sign*s^c)^m for each distinct cycle length c and
-    sign, ascending in (c, sign), so the longest cycle comes last.  Keyed
-    by -m, sorted classes meet the runs of one (c, sign) largest m first."""
-    runs = _runs(cycles.positive_cycles)
-    if cycles.negative_cycles:
-        runs += _runs(cycles.negative_cycles, -1)
-        runs.sort()  # merges the two ascending run lists
-    return runs
-
-
 def _class_average(
     group: GroupSpec, trunc: int, degrees: tuple[int, ...]
 ) -> TruncatedSeries:
@@ -153,12 +136,12 @@ def _class_average(
     product over ``degrees`` of (1 - s^d) over det(1 - s*w)^2 on the
     permutation representation.
 
-    The factor runs of each class, in ``_factors`` order, are a path in a
-    trie, and the classes are taken in sorted order of their runs, so each
-    node opens once.  ``path`` holds the inner runs of the open nodes and
-    ``pending[i]`` the weighted sum of the classes below ``path[i - 1]``
-    (the root at ``pending[0]``), not yet divided by that run, or None
-    while nothing has been added to it.  A class closes the nodes past the
+    The factor runs of each class, as ``conjugacy_classes`` gives them, are
+    a path in a trie, and the classes are taken in sorted order of their
+    runs, so each node opens once.  ``path`` holds the inner runs of the
+    open nodes and ``pending[i]`` the weighted sum of the classes below
+    ``path[i - 1]`` (the root at ``pending[0]``), not yet divided by that
+    run, or None while nothing has been added to it.  A class closes the nodes past the
     prefix its inner runs share with ``path`` (divide, then add into the
     parent) and opens the rest.  When the deepest node it leaves is
     (c, sign, m) and its own run there is (c, sign, m') with m' < m, that
@@ -177,9 +160,9 @@ def _class_average(
     if trunc < 0:
         raise ValueError("trunc must be >= 0")
     s_trunc = trunc // 2
-    path: list[tuple[int, int, int]] = []
+    path: list[Run] = []
     pending: list[list[int] | None] = [None]
-    last_runs: dict[tuple[int, int, int], list[int]] = {}
+    last_runs: dict[Run, list[int]] = {}
 
     def close() -> None:
         c, sign, neg_m = path.pop()
@@ -189,11 +172,8 @@ def _class_average(
         # past the truncation the factor is 1, but the whole sum moves up
         pending[-1][:] = map(add, pending[-1], below)
 
-    classes = sorted(
-        (_factors(cycles), size) for cycles, size in conjugacy_classes(group)
-    )
-    for runs, size in classes:
-        last = runs.pop()
+    for runs, size in sorted(conjugacy_classes(group)):
+        runs, last = runs[:-1], runs[-1]
         shared = 0
         for old, new in zip(path, runs):
             if old != new:

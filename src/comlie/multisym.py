@@ -14,7 +14,8 @@ m_A * p_(a,b) = sum over v of mult_C(v + (a, b)) * m_C.  Ideal quotients
 and power-sum generation use this rule alone.  The group average of a
 monomial is its orbit sum over the orbit size, or zero for the signed group
 when some pair degree is odd, so the descent basis needs no enumeration of
-the group per monomial; ``act`` and ``average`` remain as the reference.
+the group per monomial; the tests keep the enumerated average as the
+reference.
 Free-basis products of three orbit sums are still ``MultiPoly`` products.
 Every check reduces to exact rank computations in orbit-sum coordinates,
 on one row format from the row builders to ``exact_rank``: a sparse row
@@ -44,7 +45,6 @@ from .weylcomb import (
     _check_kind,
     _degrees,
     elements,
-    group_order,
 )
 
 #: Documented feasibility range for the graded linear algebra.
@@ -231,43 +231,6 @@ class MultiPoly:
         return f"MultiPoly({self.to_str()})"
 
 
-def act(w: SignedPermutation, poly: MultiPoly) -> MultiPoly:
-    """Diagonal substitution x_i -> (sign) x_|w(i)|, y_i -> (sign) y_|w(i)|."""
-    if w.n != poly.n:
-        raise ValueError("size mismatch between element and polynomial")
-    n = poly.n
-    word = w.word
-    out: dict[ExpKey, Coeff] = {}
-    for (xexp, yexp), coeff in poly.terms.items():
-        new_x = [0] * n
-        new_y = [0] * n
-        sign = 1
-        for i in range(n):
-            v = word[i]
-            j = abs(v) - 1
-            new_x[j] = xexp[i]
-            new_y[j] = yexp[i]
-            if v < 0 and (xexp[i] + yexp[i]) % 2:
-                sign = -sign
-        key = (tuple(new_x), tuple(new_y))
-        v2 = out.get(key, 0) + sign * coeff
-        if v2:
-            out[key] = v2
-        else:
-            del out[key]
-    result = MultiPoly(n)
-    result.terms = out
-    return result
-
-
-def average(kind: str, poly: MultiPoly) -> MultiPoly:
-    """Group average (1/|W|) sum_w w . poly; idempotent on invariants."""
-    total = MultiPoly.zero(poly.n)
-    for w in elements(kind, poly.n):
-        total = total + act(w, poly)
-    return total * Fraction(1, group_order(kind, poly.n))
-
-
 def power_sum(n: int, a: int, b: int) -> MultiPoly:
     """The invariant x_1^a y_1^b + ... + x_n^a y_n^b."""
     if a < 0 or b < 0 or a + b < 1:
@@ -343,11 +306,6 @@ def monomial_orbit_reps(kind: str, n: int, degree: int) -> tuple[OrbitRep, ...]:
 
     rec(n, degree, (degree, degree), ())
     return tuple(out)
-
-
-def invariant_graded_dim(kind: str, n: int, degree: int) -> int:
-    """Dimension of the degree-``degree`` piece of the invariant ring."""
-    return len(monomial_orbit_reps(kind, n, degree))
 
 
 @lru_cache(maxsize=None)

@@ -131,18 +131,18 @@ def _catalog_member(family: str, a: int, b: int) -> bool:
 
 
 def generator_catalog(family: str, max_degree: int) -> GeneratorCatalog:
-    """All stable generators of cohomological degree <= max_degree."""
+    """All stable generators of cohomological degree <= max_degree, in
+    (a + b, a) order."""
     family = canonical_family(family)
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    pairs = [
+    pairs = tuple(
         (a, total - a)
         for total in range(1, max_degree // 2 + 1)
         for a in range(total + 1)
         if _catalog_member(family, a, total - a)
-    ]
-    pairs.sort(key=lambda p: (p[0] + p[1], p[0]))
-    return GeneratorCatalog(family, tuple(pairs))
+    )
+    return GeneratorCatalog(family, pairs)
 
 
 def stable_weights(family: str, max_degree: int) -> dict[int, int]:

@@ -137,28 +137,6 @@ def gaussian_multinomial(parts: tuple[int, ...]) -> QPoly:
     )
 
 
-def count_standard_tableaux(shape: tuple[int, ...]) -> int:
-    """Backtracking enumerator of standard fillings; independent of the hook
-    formula on purpose."""
-    n = sum(shape)
-    if n == 0:
-        return 1
-    heights = [0] * len(shape)
-
-    def place(value: int) -> int:
-        if value > n:
-            return 1
-        total = 0
-        for row, width in enumerate(shape):
-            if heights[row] < width and (row == 0 or heights[row - 1] > heights[row]):
-                heights[row] += 1
-                total += place(value + 1)
-                heights[row] -= 1
-        return total
-
-    return place(1)
-
-
 def flag_series(n: int) -> QPoly:
     """Sum over shapes of (tableau count) * (fake degree polynomial); equals
     the q-factorial, the graded dimension of the coinvariant algebra."""

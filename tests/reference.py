@@ -2,12 +2,18 @@
 
 The per-class coinvariant character is what the oracles' class sum adds up
 without ever forming it; the product combinators multiply the closed forms
-of a cartesian product of groups.  Neither is on a library or CLI path.
+of a cartesian product of groups; the diagonal action and the enumerated
+group average are what the orbit-sum coordinates of ``multisym`` replace;
+the tableau count is independent of the hook formula.  None is on a
+library or CLI path.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from comlie.coinvariants import _numerator_degrees
+from comlie.multisym import Coeff, ExpKey, MultiPoly, monomial_orbit_reps
 from comlie.poincare import GroupSpec, bcom_series, bg_series, ecom_numerator
 from comlie.qseries import (
     QPoly,
@@ -16,7 +22,7 @@ from comlie.qseries import (
     _divide_by_factor,
     _multiply_by_factor,
 )
-from comlie.weylcomb import CycleData
+from comlie.weylcomb import CycleData, SignedPermutation, elements, group_order
 
 
 def _check_consistent(group: GroupSpec, cycles: CycleData) -> None:
@@ -48,6 +54,15 @@ def coinvariant_char(
     return TruncatedSeries(tuple(coeffs))
 
 
+def cycles_of_runs(runs: tuple[tuple[int, int, int], ...]) -> CycleData:
+    """The cycle multisets of a class given as its factor runs (c, sign, -m),
+    the form ``coinvariants.conjugacy_classes`` yields."""
+    cycles = {1: [], -1: []}
+    for c, sign, neg_m in runs:
+        cycles[sign] += [c] * -neg_m
+    return CycleData(tuple(cycles[1]), tuple(cycles[-1]))
+
+
 def product_ecom_numerator(groups: list[GroupSpec]) -> QPoly:
     """Fiber-space numerator of a finite cartesian product of groups."""
     out = QPoly.one()
@@ -70,3 +85,67 @@ def product_bg_series(groups: list[GroupSpec]) -> RationalSeries:
     for g in groups:
         out = out * bg_series(g)
     return out
+
+
+def act(w: SignedPermutation, poly: MultiPoly) -> MultiPoly:
+    """Diagonal substitution x_i -> (sign) x_|w(i)|, y_i -> (sign) y_|w(i)|."""
+    if w.n != poly.n:
+        raise ValueError("size mismatch between element and polynomial")
+    n = poly.n
+    word = w.word
+    out: dict[ExpKey, Coeff] = {}
+    for (xexp, yexp), coeff in poly.terms.items():
+        new_x = [0] * n
+        new_y = [0] * n
+        sign = 1
+        for i in range(n):
+            v = word[i]
+            j = abs(v) - 1
+            new_x[j] = xexp[i]
+            new_y[j] = yexp[i]
+            if v < 0 and (xexp[i] + yexp[i]) % 2:
+                sign = -sign
+        key = (tuple(new_x), tuple(new_y))
+        v2 = out.get(key, 0) + sign * coeff
+        if v2:
+            out[key] = v2
+        else:
+            del out[key]
+    result = MultiPoly(n)
+    result.terms = out
+    return result
+
+
+def average(kind: str, poly: MultiPoly) -> MultiPoly:
+    """Group average (1/|W|) sum_w w . poly; idempotent on invariants."""
+    total = MultiPoly.zero(poly.n)
+    for w in elements(kind, poly.n):
+        total = total + act(w, poly)
+    return total * Fraction(1, group_order(kind, poly.n))
+
+
+def invariant_graded_dim(kind: str, n: int, degree: int) -> int:
+    """Dimension of the degree-``degree`` piece of the invariant ring."""
+    return len(monomial_orbit_reps(kind, n, degree))
+
+
+def count_standard_tableaux(shape: tuple[int, ...]) -> int:
+    """Backtracking enumerator of standard fillings; independent of the hook
+    formula on purpose."""
+    n = sum(shape)
+    if n == 0:
+        return 1
+    heights = [0] * len(shape)
+
+    def place(value: int) -> int:
+        if value > n:
+            return 1
+        total = 0
+        for row, width in enumerate(shape):
+            if heights[row] < width and (row == 0 or heights[row - 1] > heights[row]):
+                heights[row] += 1
+                total += place(value + 1)
+                heights[row] -= 1
+        return total
+
+    return place(1)

