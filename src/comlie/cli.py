@@ -10,7 +10,7 @@ through ``polytext``, which imports nothing.
 every later call in the process.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
-exceeded (retry with --oracle).
+exceeded (retry with --oracle, except past the oracle's own cost bound).
 """
 
 from __future__ import annotations
@@ -129,6 +129,13 @@ def _compute_series(
         return poincare.bg_series(group).expand(trunc)
     if oracle:
         from . import coinvariants
+        from .weylcomb import GroupSizeError
+
+        bound = coinvariants.MAX_ORACLE_COST
+        if coinvariants._oracle_cost(group, trunc) > bound:
+            raise GroupSizeError(
+                f"--oracle for {group.label} through degree {trunc} is "
+                f"estimated past {bound} steps (MAX_ORACLE_COST)")
 
         if what == "ecom":
             return coinvariants.oracle_ecom(group, trunc)
@@ -249,11 +256,9 @@ def cmd_series(args: argparse.Namespace) -> int:
                 args.what, family, rank, args.maxdeg, args.oracle
             )
         except GroupSizeError as exc:
-            print(
-                f"error: {exc}; rerun with --oracle to use the "
-                "conjugacy-class formula",
-                file=sys.stderr,
-            )
+            hint = ("" if args.oracle else "; rerun with --oracle to use the "
+                    "conjugacy-class formula")
+            print(f"error: {exc}{hint}", file=sys.stderr)
             return EXIT_CAP
         payload = _series_payload(header, list(series.coeffs))
         if cache_path is not None:

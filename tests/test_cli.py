@@ -99,6 +99,52 @@ def test_series_cap_exceeded_suggests_oracle(capsys):
     assert "--oracle" in err
 
 
+@pytest.mark.parametrize("group, rank, maxdeg", [
+    ("u", 52, 0),          # p(52) = 281 589 classes at the least truncation
+    ("su", 10**6, 0),      # counting stops long before the rank
+    ("sp", 28, 2),
+    ("u", 25, 52_000),     # 1 958 classes at a large truncation
+])
+def test_oracle_past_its_cost_bound_is_refused_before_any_class(
+    capsys, monkeypatch, group, rank, maxdeg
+):
+    from comlie import coinvariants
+
+    made = []
+
+    def spy(group_spec):
+        made.append(group_spec)
+        return iter(())
+
+    monkeypatch.setattr(coinvariants, "conjugacy_classes", spy)
+    code, out, err = run(capsys, [
+        "series", "--group", group, "--rank", str(rank), "--what", "ecom",
+        "--maxdeg", str(maxdeg), "--oracle"])
+    assert (code, out, made) == (3, "", [])
+    assert err.endswith(f"is estimated past {coinvariants.MAX_ORACLE_COST} steps "
+                        "(MAX_ORACLE_COST)\n")
+    assert "rerun" not in err
+
+
+def test_oracle_cost_counts_the_classes_the_oracle_sums():
+    from comlie import coinvariants
+
+    for family, ranks in (("u", range(1, 13)), ("sp", range(1, 7))):
+        for n in ranks:
+            group = poincare.GroupSpec(family, n)
+            classes = sum(1 for _ in coinvariants.conjugacy_classes(group))
+            assert coinvariants._oracle_cost(group, 7) == classes * 203, group
+    # just inside and outside the bound at the least truncation
+    cost, bound = coinvariants._oracle_cost, coinvariants.MAX_ORACLE_COST
+    assert cost(poincare.GroupSpec("u", 51), 0) <= bound
+    assert cost(poincare.GroupSpec("u", 52), 0) > bound
+    # the largest oracle request of the benchmark streams is far inside it
+    assert cost(poincare.GroupSpec("u", 19), 478) <= bound // 100
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert ("(`coinvariants.MAX_ORACLE_COST`)"
+            in " ".join(readme.read_text().split()))
+
+
 def test_series_oracle_passes_the_cap(capsys):
     code, out, _ = run(
         capsys,

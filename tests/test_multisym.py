@@ -296,8 +296,8 @@ def _unliftable(draw, entries=st.integers(2**400, 2**401), max_dim=4):
     """A product A [I_k | U] with A of full column rank k below its m rows
     and U a k x c block.  The kernel is spanned by the columns of [-U; I],
     unique given its free columns and with entries beyond every prime, so
-    no kernel vector mod p lifts; and the rows are too long for the
-    Hadamard bound to fit under the primes."""
+    no kernel vector mod p lifts, and the rank is left to
+    ``fraction_rank``."""
     k = draw(st.integers(1, max_dim - 1))
     m = draw(st.integers(k + 1, max_dim))
     c = draw(st.integers(1, max_dim - k))
@@ -328,8 +328,8 @@ def test_small_kernels_certify_huge_deficient_ranks(rows):
 @pytest.mark.parametrize("half", [False, True])
 def test_kernel_certificate_proves_a_rank_with_one_prime(half):
     # the third column is the sum of the first two, or half of it, so the
-    # kernel vector is (-1, -1, 1) or (-1/2, -1/2, 1); the entries are far
-    # beyond the Hadamard reach of one prime
+    # kernel vector is (-1, -1, 1) or (-1/2, -1/2, 1), which lifts at the
+    # first prime although the entries are far beyond it
     big = 2**300
     rows = [[big + i, 3 * big - i, 4 * big] for i in range(5)]
     if half:
@@ -337,6 +337,17 @@ def test_kernel_certificate_proves_a_rank_with_one_prime(half):
     with _spy("_rank_mod") as calls, _spy("fraction_rank") as fallback:
         assert exact_rank(_sparse(rows)) == 2
     assert len(calls) == 1 and fallback == []
+
+
+def test_a_rank_no_prime_proves_is_left_to_fraction_rank():
+    # row 3 is row 1 + row 2, and the kernel vector (-x, -y, 1) has entries
+    # beyond rational reconstruction at every prime
+    x, y = 2**35 + 1, 2**35 + 3
+    rows = [{0: 1, 2: x}, {1: 1, 2: y}, {0: 1, 1: 1, 2: x + y}]
+    with _spy("_rank_mod") as calls, _spy("fraction_rank") as fallback:
+        assert exact_rank(rows) == 2
+    assert [c[1] for c in calls] == list(multisym._PRIMES)
+    assert len(fallback) == 1
 
 
 def _closed_form_dims(family, n, ideal, max_degree):
@@ -351,8 +362,8 @@ def _closed_form_dims(family, n, ideal, max_degree):
 
 
 def test_quotient_ranks_are_certified_without_fractions():
-    # the rank-4 quotients are rank-deficient far beyond the Hadamard reach
-    # of the primes
+    # the rank-4 quotients are rank-deficient with entries far beyond the
+    # primes, and their kernels lift
     cases = [("u", 3, ecom_ideal, 9), ("u", 4, ecom_ideal, 10),
              ("u", 4, ecom_ideal, 12), ("u", 4, bcom_ideal, 12),
              ("su", 4, bcom_ideal, 12)]
@@ -389,6 +400,14 @@ def test_ideal_spec_validation():
     assert ecom_ideal("sp", 1).generators == ((2, 0), (0, 2))
     with pytest.raises(ValueError):
         ecom_ideal("su", 2)
+
+
+@pytest.mark.parametrize("ideal", [bcom_ideal, ecom_ideal])
+def test_ideals_name_the_known_families_for_an_unknown_one(ideal):
+    assert ideal("SP", 1) == ideal("sp", 1)
+    with pytest.raises(ValueError, match=r"unknown family 'so', expected one "
+                       r"of \('U', 'SU', 'Sp'\)"):
+        ideal("so", 2)
 
 
 def test_quotient_by_empty_ideal_is_invariant_dimension():
@@ -439,6 +458,55 @@ def test_free_basis_rank_two():
     assert report.passed
     assert report.basis_size == 2
     assert report.degrees == (0, 2)
+
+
+def _mutated_basis(monkeypatch, kind, n, mutate):
+    """Make ``_descent_reps`` give ``mutate`` of the true (element,
+    representative) list, sorted by degree."""
+    reps = sorted(multisym._descent_reps(kind, n),
+                  key=lambda item: sum(map(sum, item[1])))
+    mutate(reps)
+    monkeypatch.setattr(multisym, "_descent_reps", lambda k, m: list(reps))
+
+
+@pytest.mark.parametrize("kind, n, max_degree, detail", [
+    ("sym", 3, 6, "products only span rank 13 of 14 in degree 3"),
+    ("signed", 2, 8, "products only span rank 10 of 11 in degree 4"),
+])
+def test_free_basis_with_a_duplicated_element_falls_short_of_full_rank(
+        monkeypatch, kind, n, max_degree, detail):
+    def duplicate(reps):
+        # the first degree above 0 with two elements gets one of them twice
+        degree = [sum(map(sum, rep)) for _, rep in reps]
+        i = next(i for i in range(1, len(reps) - 1) if degree[i] == degree[i + 1])
+        reps[i + 1] = (reps[i + 1][0], reps[i][1])
+
+    _mutated_basis(monkeypatch, kind, n, duplicate)
+    report = verify_free_basis(kind, n, max_degree)
+    assert not report.passed and report.detail == detail
+
+
+def test_free_basis_with_a_shifted_degree_fails_the_hilbert_series(monkeypatch):
+    def shift(reps):
+        # one more x in the first pair of the top element: degree 6 -> 7
+        w, ((a, b), *rest) = reps[-1]
+        reps[-1] = (w, ((a + 1, b), *rest))
+
+    _mutated_basis(monkeypatch, "sym", 3, shift)
+    report = verify_free_basis("sym", 3, 6)
+    assert not report.passed
+    assert report.detail == (
+        "Hilbert series mismatch in degree 6: 92 products, dimension 93")
+
+
+def test_free_basis_with_a_vanishing_monomial_fails(monkeypatch):
+    def vanish(reps):
+        reps[1] = (reps[1][0], None)
+
+    _mutated_basis(monkeypatch, "signed", 2, vanish)
+    report = verify_free_basis("signed", 2, 8)
+    assert not report.passed and -1 in report.degrees
+    assert report.detail == "an averaged descent monomial vanished"
 
 
 def test_power_sum_generation_small_ranks():
