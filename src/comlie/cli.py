@@ -356,8 +356,6 @@ SUITES = (*VERIFY_SUITES, "all")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from .weylcomb import GroupSizeError
 
     if args.group is None:
@@ -392,7 +390,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail_usage(str(exc))
 
     if args.format == "json":
-        print(_dumps([dataclasses.asdict(r) for r in reports]))
+        print(_dumps([r._asdict() for r in reports]))
     else:
         for r in reports:
             print(r.summary())

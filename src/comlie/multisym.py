@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
+from typing import NamedTuple
 
 from .families import canonical_family
 from .repa import partitions_max_parts
@@ -509,17 +510,17 @@ def fraction_rank(rows: list[list[Coeff]]) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
-class IdealSpec:
+class IdealSpec(namedtuple("IdealSpec", "generators")):
     """An ideal of the invariant ring given by power-sum generators."""
 
-    generators: tuple[Pair, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", tuple(map(tuple, self.generators)))
-        for a, b in self.generators:
+    def __new__(cls, generators: tuple[Pair, ...]) -> IdealSpec:
+        generators = tuple(map(tuple, generators))
+        for a, b in generators:
             if a < 0 or b < 0 or a + b < 1:
                 raise ValueError(f"invalid power-sum index ({a}, {b})")
+        return tuple.__new__(cls, (generators,))
 
 
 def _x_power_sums(family: str, n: int) -> tuple[Pair, ...]:
@@ -602,8 +603,7 @@ def _quotient_rows(
     return rows
 
 
-@dataclass(frozen=True)
-class BasisReport:
+class BasisReport(NamedTuple):
     """Result of the free-basis verification, with the basis degrees."""
 
     kind: str

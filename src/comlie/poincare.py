@@ -15,8 +15,9 @@ bidegree generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
+from typing import NamedTuple
 
 # FAMILIES is re-exported: the family table lives in ``families``
 from .families import FAMILIES, canonical_family  # noqa: F401
@@ -26,19 +27,18 @@ from .reports import CheckReport
 from .weylcomb import _check_enumerable, _degrees, group_order
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(namedtuple("GroupSpec", "family n")):
     """One of the classical groups U(n), SU(n), Sp(n)."""
 
-    family: str
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "family", canonical_family(self.family))
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ValueError(f"rank must be an int, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"rank must be >= 1, got {self.n}")
+    def __new__(cls, family: str, n: int) -> GroupSpec:
+        family = canonical_family(family)
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"rank must be an int, got {n!r}")
+        if n < 1:
+            raise ValueError(f"rank must be >= 1, got {n}")
+        return tuple.__new__(cls, (family, n))
 
     @property
     def weyl_kind(self) -> str:
@@ -103,8 +103,7 @@ def bcom_series(group: GroupSpec) -> RationalSeries:
     return RationalSeries(ecom_numerator(group), group.bg_denominator_factors)
 
 
-@dataclass(frozen=True)
-class GeneratorCatalog:
+class GeneratorCatalog(NamedTuple):
     """Bidegree pairs (a, b) of the stable polynomial generators; the
     generator z_(a,b) sits in cohomological degree 2*(a+b)."""
 

@@ -15,7 +15,7 @@ product of such factors never needs a convolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, zip_longest
 from operator import add, mul, neg, sub
 from typing import Iterable, Mapping, Sequence
@@ -171,16 +171,16 @@ def exact_div(num: QPoly, den: QPoly) -> QPoly:
     return QPoly.from_coeffs(quot)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(namedtuple("TruncatedSeries", "coeffs")):
     """Power series known exactly through degree ``trunc`` = len(coeffs) - 1."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if not self.coeffs:
+    def __new__(cls, coeffs: Iterable[int]) -> TruncatedSeries:
+        coeffs = tuple(map(int, coeffs))
+        if not coeffs:
             raise ValueError("a truncated series stores at least the constant term")
+        return tuple.__new__(cls, (coeffs,))
 
     @property
     def trunc(self) -> int:
@@ -279,17 +279,19 @@ def _normalize_factors(
     return tuple(sorted(counted.items()))
 
 
-@dataclass(frozen=True)
-class RationalSeries:
+class RationalSeries(namedtuple("RationalSeries",
+                                 "numerator denominator_factors")):
     """QPoly numerator over a product of factors (1 - t^e)^m."""
 
-    numerator: QPoly
-    denominator_factors: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "denominator_factors", _normalize_factors(self.denominator_factors)
-        )
+    def __new__(
+        cls,
+        numerator: QPoly,
+        denominator_factors: Mapping[int, int] | Iterable[tuple[int, int]] = (),
+    ) -> RationalSeries:
+        return tuple.__new__(
+            cls, (numerator, _normalize_factors(denominator_factors)))
 
     def expand(self, trunc: int) -> TruncatedSeries:
         """Exact coefficients through degree ``trunc``."""

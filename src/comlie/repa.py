@@ -18,9 +18,9 @@ neither numerator needs the Weyl group enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
+from typing import NamedTuple
 
 # ``exact_div`` is unused here; perfbench/test_perfbench.py asserts that the
 # span wrappers patch this by-name binding, so it stays until that test changes.
@@ -88,8 +88,7 @@ def _q_pochhammer(n: int) -> QPoly:
     return out
 
 
-@dataclass(frozen=True)
-class FakeDegree:
+class FakeDegree(NamedTuple):
     """Graded multiplicity polynomial of a shape in the coinvariant algebra;
     the exponent of q tracks half the cohomological degree."""
 

@@ -11,8 +11,8 @@ which this module enumerates by a canonical nested-multiset form.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 # ``exact_div`` is unused here; perfbench/test_perfbench.py asserts that the
 # span wrappers patch this by-name binding, so it stays until that test changes.
@@ -23,8 +23,7 @@ SetPartition = tuple[tuple[int, ...], ...]
 Chain = tuple[SetPartition, ...]
 
 
-@dataclass(frozen=True)
-class ToriComponent:
+class ToriComponent(NamedTuple):
     """One conjugacy class of subtori: the flag manifold of the shape,
     divided by the permutations of equal stages."""
 
@@ -60,8 +59,7 @@ def components(n: int) -> list[ToriComponent]:
     return out
 
 
-@dataclass(frozen=True)
-class ChainClass:
+class ChainClass(NamedTuple):
     """A relabeling class of refinement chains of set partitions, with the
     lexicographically least canonical chain as representative."""
 

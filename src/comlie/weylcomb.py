@@ -13,7 +13,7 @@ one, and only narrows the word check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 from typing import Iterator, TypeVar
@@ -32,8 +32,7 @@ class GroupSizeError(ValueError):
     """Rank outside the range supported by exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
-class CycleData:
+class CycleData(namedtuple("CycleData", "positive_cycles negative_cycles")):
     """Multisets of cycle lengths, split by cycle sign.
 
     The sign of a cycle of a signed permutation is the product of the signs
@@ -41,41 +40,36 @@ class CycleData:
     only.  Lengths are stored sorted nonincreasing, partition style.
     """
 
-    positive_cycles: tuple[int, ...]
-    negative_cycles: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "positive_cycles", tuple(sorted(self.positive_cycles, reverse=True))
-        )
-        object.__setattr__(
-            self, "negative_cycles", tuple(sorted(self.negative_cycles, reverse=True))
-        )
+    def __new__(cls, positive_cycles: tuple[int, ...],
+                negative_cycles: tuple[int, ...] = ()) -> CycleData:
+        pos = tuple(sorted(positive_cycles, reverse=True))
+        neg = tuple(sorted(negative_cycles, reverse=True))
         # sorted nonincreasing, so the last entry is the smallest
-        pos, neg = self.positive_cycles, self.negative_cycles
         if (pos and pos[-1] < 1) or (neg and neg[-1] < 1):
             raise ValueError("cycle lengths must be positive")
+        return tuple.__new__(cls, (pos, neg))
 
     @property
     def size(self) -> int:
         return sum(self.positive_cycles) + sum(self.negative_cycles)
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(namedtuple("SignedPermutation", "word")):
     """A signed permutation, stored by its values on positive positions.
 
     ``identity``, ``*`` and ``inverse`` build the class of their left (or
     only) operand, so products of plain permutations stay plain.
     """
 
-    word: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
-        if sorted(abs(v) for v in word) != list(range(1, len(word) + 1)):
+    def __new__(cls: type[_W], word: tuple[int, ...]) -> _W:
+        word = tuple(word)
+        if sorted(map(abs, word)) != list(range(1, len(word) + 1)):
             raise ValueError(f"not a signed permutation word: {word!r}")
+        return tuple.__new__(cls, (word,))
 
     @classmethod
     def identity(cls: type[_W], n: int) -> _W:
@@ -151,16 +145,17 @@ class SignedPermutation:
         return CycleData(tuple(positive), tuple(negative))
 
 
-@dataclass(frozen=True)
 class Permutation(SignedPermutation):
     """A permutation of {1..n} in one-line notation w(1), ..., w(n): a signed
     permutation with no negative entry."""
 
-    def __post_init__(self) -> None:
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
+    __slots__ = ()
+
+    def __new__(cls, word: tuple[int, ...]) -> Permutation:
+        word = tuple(word)
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"not a permutation of 1..{len(word)}: {word!r}")
+        return tuple.__new__(cls, (word,))
 
 
 def _check_kind(kind: str) -> None:

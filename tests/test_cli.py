@@ -278,8 +278,42 @@ def test_verify_json_format(capsys):
          "--format", "json"],
     )
     assert code == 0
-    payload = json.loads(out)
-    assert payload[0]["passed"] is True
+    # _dumps sorts keys; the record itself lists its fields in order
+    assert out == ('[{"detail": "both identities exact", "first_mismatch": null, '
+                   '"name": "fake degree identities n=4", "passed": true}]\n')
+    assert list(json.loads(out)[0]) == ["detail", "first_mismatch", "name",
+                                        "passed"]
+    assert list(CheckReport("x", True)._asdict()) == [
+        "name", "passed", "detail", "first_mismatch"]
+
+
+def test_verify_json_failure_carries_the_first_mismatch(capsys, monkeypatch):
+    from comlie import coinvariants
+    from comlie.qseries import TruncatedSeries
+
+    oracle_bcom = coinvariants.oracle_bcom
+
+    def off_at_degree_6(group, trunc):
+        coeffs = list(oracle_bcom(group, trunc).coeffs)
+        coeffs[6] += 1
+        return TruncatedSeries(coeffs)
+
+    monkeypatch.setattr(coinvariants, "oracle_bcom", off_at_degree_6)
+    argv = ["verify", "--suite", "oracle", "--group", "u", "--rank", "2",
+            "--maxdeg", "10"]
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 1
+    assert out == (
+        '[{"detail": "", "first_mismatch": null, '
+        '"name": "oracle fiber series U(2)", "passed": true}, '
+        '{"detail": "", "first_mismatch": 6, '
+        '"name": "oracle base series U(2)", "passed": false}]\n')
+    assert [CheckReport(**obj) for obj in json.loads(out)] == [
+        CheckReport("oracle fiber series U(2)", True),
+        CheckReport("oracle base series U(2)", False, first_mismatch=6)]
+    assert run(capsys, argv) == (1, (
+        "PASS oracle fiber series U(2)\n"
+        "FAIL oracle base series U(2) (first mismatch at degree 6)\n"), "")
 
 
 def test_verify_usage_errors(capsys):
@@ -557,8 +591,14 @@ MATH_MODULES = {f"comlie.{name}" for name in (
     "poincare", "coinvariants", "qseries", "repa", "toriposet", "weylcomb",
     "multisym")}
 
+#: Costly standard-library modules no command needs: ``dataclasses`` pulls
+#: in ``inspect``, ``ast``, ``dis`` and ``tokenize``.
+HEAVY_STDLIB = {"dataclasses", "inspect"}
+
+# the snapshot leaves out whatever the interpreter's ``site`` preloaded
 _FOOTPRINT_PROBE = """
 import json, sys
+before = set(sys.modules)
 import comlie.cli
 argv = json.loads(sys.argv[1])
 if argv is not None:
@@ -566,20 +606,21 @@ if argv is not None:
         comlie.cli.main(argv)
     except SystemExit:
         pass
-sys.stderr.write(json.dumps(sorted(sys.modules)))
+sys.stderr.write(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
 def _math_modules_loaded(argv: list[str] | None) -> set[str]:
-    """Math modules a fresh interpreter holds after importing comlie.cli and,
-    unless ``argv`` is None, running the command ``argv``."""
+    """Math modules, and the costly standard-library ones, that a fresh
+    interpreter loads by importing comlie.cli and, unless ``argv`` is None,
+    running the command ``argv``."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     env.pop(cli.CACHE_ENV_VAR, None)
     result = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT_PROBE, json.dumps(argv)], env=env,
         capture_output=True, text=True, check=True)
-    return MATH_MODULES.intersection(json.loads(result.stderr))
+    return (MATH_MODULES | HEAVY_STDLIB).intersection(json.loads(result.stderr))
 
 
 def test_cli_import_leaves_multisym_unloaded():
@@ -607,6 +648,25 @@ def test_closed_form_miss_loads_no_oracle_poset_or_linear_algebra():
     assert "comlie.poincare" in loaded
     assert not loaded & {"comlie.coinvariants", "comlie.toriposet",
                          "comlie.multisym"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--group", "u", "--rank", "4", "--what", "bcom"],
+    ["series", "--group", "su", "--rank", "12", "--what", "ecom", "--oracle"],
+    ["series", "--group", "sp", "--rank", "3", "--what", "bg"],
+    ["series", "--group", "u", "--what", "stable"],
+    ["verify", "--suite", "all", "--group", "u", "--rank", "3",
+     "--format", "json"],
+    ["poset", "--rank", "5"],
+    ["catalog", "--family", "u", "--maxdeg", "10"],
+], ids=["closed-miss", "oracle-miss", "bg-miss", "stable-miss", "verify",
+        "poset", "catalog"])
+def test_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
+    if argv[0] == "series":
+        argv = argv + ["--maxdeg", "20", "--cache-dir", str(tmp_path)]
+    assert not _math_modules_loaded(argv) & HEAVY_STDLIB
+    if argv[0] == "series":
+        assert len(list(tmp_path.iterdir())) == 1  # a miss, and written
 
 
 def _readme_examples() -> list[tuple[list[str], list[str]]]:
