@@ -124,9 +124,13 @@ def _compute_series(
 
     if what == "stable":
         return poincare.stable_bcom(family, trunc)
-    group = poincare.GroupSpec(family, rank)
     if what == "bg":
-        return poincare.bg_series(group).expand(trunc)
+        # a factor (1 - t^(2d)) with 2d > trunc is 1 through trunc, and the
+        # first trunc // 2 + 1 ranks hold every invariant degree d <= trunc / 2
+        # in each family, so the series needs no more
+        low = poincare.GroupSpec(family, min(rank, trunc // 2 + 1))
+        return poincare.bg_series(low).expand(trunc)
+    group = poincare.GroupSpec(family, rank)
     if oracle:
         from . import coinvariants
         from .weylcomb import GroupSizeError

@@ -20,7 +20,8 @@ Free-basis products of three orbit sums are still ``MultiPoly`` products.
 Every check reduces to exact rank computations in orbit-sum coordinates,
 on one row format from the row builders to ``exact_rank``: a sparse row
 {column: nonzero int}, which structure constants and products of primitive
-orbit sums always give.
+orbit sums always give.  ``exact_rank`` eliminates these rows over the
+integers, fraction-free, so each rank is exact integer arithmetic.
 
 All polynomial degrees here are plain degrees of polynomials; the doubling
 to cohomological degree happens in callers.
@@ -58,13 +59,6 @@ OrbitRep = tuple[Pair, ...]
 GradedDims = dict[int, int]
 Coeff = int | Fraction
 Row = dict[int, int]
-
-#: Primes just below 2**61 for the modular rank in ``exact_rank``.  The
-#: primes after the first are retries, for when a prime divides every
-#: nonzero r-minor of a rank-r matrix and so shows a smaller rank.
-_PRIMES = tuple((1 << 61) - k for k in (
-    1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579, 675, 759, 799, 819,
-))
 
 
 def _coeff(value: Coeff) -> Coeff:
@@ -374,139 +368,40 @@ def _columns(kind: str, n: int, degree: int) -> dict[OrbitRep, int]:
     return {r: j for j, r in enumerate(monomial_orbit_reps(kind, n, degree))}
 
 
-def _rank_mod(rows: list[Row], p: int) -> dict[int, Row]:
-    """Echelon form of sparse integer rows modulo the prime ``p``: pivot
-    rows by pivot column, each 1 there and zero to its left.  Their number
-    is the rank mod p.
+def exact_rank(rows: list[Row]) -> int:
+    """Rank over Q of sparse integer rows {column: entry}, exactly, by
+    fraction-free elimination over the integers.
 
     Each row is reduced by the stored pivot rows, always at its leftmost
-    entry, until it vanishes or starts in a new pivot column.
+    entry, until it vanishes or starts in a new pivot column.  Where the
+    pivot's leading entry does not divide the row's entry, the row is first
+    multiplied by lead / gcd(lead, entry), so that the reduction divides
+    exactly.
+    Each new pivot row is divided by the gcd of its entries, which keeps
+    the entries small.  The input rows are not modified.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict[int, Row] = {}
     for row in rows:
-        work = {j: r for j, v in row.items() if (r := v % p)}
+        work = {j: v for j, v in row.items() if v}
         while work:
             col = min(work)
             pivot = pivots.get(col)
             if pivot is None:
-                inv = pow(work[col], -1, p)
-                pivots[col] = {j: v * inv % p for j, v in work.items()}
+                g = math.gcd(*work.values())
+                pivots[col] = {j: v // g for j, v in work.items()}
                 break
-            f = work[col]
+            lead, f = pivot[col], work[col]
+            if f % lead:
+                scale = lead // math.gcd(lead, f)
+                work = {j: v * scale for j, v in work.items()}
+                f *= scale
+            q = f // lead
             for j, v in pivot.items():
-                x = (work.get(j, 0) - f * v) % p
+                x = work.get(j, 0) - q * v
                 if x:
                     work[j] = x
                 else:
                     del work[j]
-    return pivots
-
-
-def _rational_residue(y: int, p: int) -> tuple[int, int] | None:
-    """A fraction a/b with a = b * y mod p and |a|, b at most sqrt(p/2), or
-    None: Wang's rational reconstruction, by the extended Euclidean
-    algorithm on (p, y).  A residue of a small integer a comes back as
-    (a, 1) within one step."""
-    bound = math.isqrt(p // 2)
-    r0, r1, s0, s1 = p, y, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    if not 0 < abs(s1) <= bound:
-        return None
-    return (r1, s1) if s1 > 0 else (-r1, -s1)
-
-
-def _kernel_certified(rows: list[Row], pivots: dict[int, Row], p: int) -> bool:
-    """Whether the kernel of the echelon form mod p lifts to a kernel over Q.
-
-    Back substitution reduces each pivot row to its entries in the free
-    columns.  For each free column f, the kernel vector mod p has 1 at f,
-    0 at the other free columns and minus those entries at the pivots; its
-    entries are lifted to small fractions (``_rational_residue``), the
-    vector is scaled to integers by their common denominator and checked
-    against every row exactly.  These cols - r vectors are independent, so
-    if all of them pass, the rank over Q is at most r = len(pivots); r is
-    also a lower bound.
-    """
-    reduced: dict[int, dict[int, int]] = {}  # pivot -> {free column: entry}
-    for c in sorted(pivots, reverse=True):
-        acc: dict[int, int] = {}
-        for j, x in pivots[c].items():
-            if j in reduced:  # a pivot right of c
-                for f, y in reduced[j].items():
-                    acc[f] = (acc.get(f, 0) - x * y) % p
-            elif j != c:
-                acc[j] = (acc.get(j, 0) + x) % p
-        reduced[c] = {f: y for f, y in acc.items() if y}
-    fractions: dict[int, dict[int, tuple[int, int]]] = {}
-    scale: dict[int, int] = {}  # free column f -> denominator of vector f
-    for c, entries in reduced.items():
-        fractions[c] = {}
-        for f, y in entries.items():
-            frac = _rational_residue(p - y, p)
-            if frac is None:
-                return False
-            fractions[c][f] = frac
-            scale[f] = math.lcm(scale.get(f, 1), frac[1])
-    lifted = {c: {f: a * (scale[f] // b) for f, (a, b) in entries.items()}
-              for c, entries in fractions.items()}
-    for row in rows:
-        acc = {}
-        for j, x in row.items():
-            if j in lifted:
-                for f, y in lifted[j].items():
-                    acc[f] = acc.get(f, 0) + x * y
-            else:
-                acc[j] = acc.get(j, 0) + x * scale.get(j, 1)
-        if any(acc.values()):
-            return False
-    return True
-
-
-def exact_rank(rows: list[Row]) -> int:
-    """Rank over Q of sparse integer rows {column: entry}, exactly.
-
-    The rows are eliminated modulo the primes of ``_PRIMES``.  Reduction
-    mod p never raises the rank, and the rank over Q is at most the number
-    of nonempty rows and at most the number of distinct columns that occur;
-    so a rank mod p equal to the smaller of the two is the rank over Q.  A
-    smaller rank r is exact when the kernel of the echelon form mod p lifts
-    to a kernel over Q (``_kernel_certified``), which is tried once for each
-    new largest rank.  If no prime proves the rank, the answer comes from
-    ``fraction_rank`` on the rows written out over the columns that occur.
-    """
-    rows = [row for row in rows if row]
-    columns = set().union(*rows)
-    full = min(len(rows), len(columns))
-    if not full:
-        return 0
-    rank = -1
-    for p in _PRIMES:
-        pivots = _rank_mod(rows, p)
-        r = len(pivots)
-        if r == full or (r > rank and _kernel_certified(rows, pivots, p)):
-            return r
-        rank = max(rank, r)
-    order = sorted(columns)
-    return fraction_rank([[row.get(j, 0) for j in order] for row in rows])
-
-
-def fraction_rank(rows: list[list[Coeff]]) -> int:
-    """Rank over Q by Gaussian elimination over Fraction: the fallback of
-    ``exact_rank`` and its test oracle."""
-    pivots: list[tuple[int, list[Fraction]]] = []
-    for row in rows:
-        work = list(row)
-        for col, pivot_row in pivots:
-            c = work[col]
-            if c:
-                work = [a - c * b for a, b in zip(work, pivot_row)]
-        for col, value in enumerate(work):
-            if value:
-                work = [Fraction(a, value) for a in work]
-                pivots.append((col, work))
-                break
     return len(pivots)
 
 

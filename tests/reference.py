@@ -4,6 +4,7 @@ The per-class coinvariant character is what the oracles' class sum adds up
 without ever forming it; the product combinators multiply the closed forms
 of a cartesian product of groups; the diagonal action and the enumerated
 group average are what the orbit-sum coordinates of ``multisym`` replace;
+Gaussian elimination over Fraction is the oracle of ``multisym.exact_rank``;
 the tableau count is independent of the hook formula.  None is on a
 library or CLI path.
 """
@@ -127,6 +128,24 @@ def average(kind: str, poly: MultiPoly) -> MultiPoly:
 def invariant_graded_dim(kind: str, n: int, degree: int) -> int:
     """Dimension of the degree-``degree`` piece of the invariant ring."""
     return len(monomial_orbit_reps(kind, n, degree))
+
+
+def fraction_rank(rows: list[list[Coeff]]) -> int:
+    """Rank over Q of dense rows by Gaussian elimination over Fraction: the
+    oracle the tests compare ``exact_rank`` with."""
+    pivots: list[tuple[int, list[Fraction]]] = []
+    for row in rows:
+        work = list(row)
+        for col, pivot_row in pivots:
+            c = work[col]
+            if c:
+                work = [a - c * b for a, b in zip(work, pivot_row)]
+        for col, value in enumerate(work):
+            if value:
+                work = [Fraction(a, value) for a in work]
+                pivots.append((col, work))
+                break
+    return len(pivots)
 
 
 def count_standard_tableaux(shape: tuple[int, ...]) -> int:

@@ -99,6 +99,22 @@ def test_series_cap_exceeded_suggests_oracle(capsys):
     assert "--oracle" in err
 
 
+@pytest.mark.parametrize("group", ["u", "su", "sp"])
+def test_series_bg_at_a_huge_rank_expands_only_the_low_degrees(capsys, group):
+    # no invariant degree beyond maxdeg / 2 reaches the series, so a rank
+    # of 10**8 costs what rank 20 does and prints the same coefficients
+    def coeffs(rank):
+        code, out, _ = run(capsys, ["series", "--group", group, "--rank",
+                                    str(rank), "--what", "bg", "--maxdeg",
+                                    "40", "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n"] == rank
+        return payload["series"]["coeffs"]
+
+    assert coeffs(100_000_000) == coeffs(20)
+
+
 @pytest.mark.parametrize("group, rank, maxdeg", [
     ("u", 52, 0),          # p(52) = 281 589 classes at the least truncation
     ("su", 10**6, 0),      # counting stops long before the rank

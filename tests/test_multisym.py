@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from comlie import multisym
 from comlie.multisym import (
@@ -15,7 +15,6 @@ from comlie.multisym import (
     descent_monomial,
     ecom_ideal,
     exact_rank,
-    fraction_rank,
     invariant_coordinates,
     monomial_orbit_reps,
     orbit_sum,
@@ -32,7 +31,7 @@ from comlie.weylcomb import (
     SignedPermutation,
     elements,
 )
-from reference import act, average, invariant_graded_dim
+from reference import act, average, fraction_rank, invariant_graded_dim
 
 
 def mono(n, xexp, yexp, coeff=1):
@@ -175,47 +174,24 @@ def test_exact_rank():
         ([[Fraction(2, 3), one]], 1),
         ([[1, 2], [2, 4]], 1),
     ]
+    # the third column is the sum of the first two, or half of it, with
+    # entries near 2**300
+    big = 2**300
+    rows = [[big + i, 3 * big - i, 4 * big] for i in range(5)]
+    cases.append((rows, 2))
+    cases.append(([[2 * a, 2 * b, c] for a, b, c in rows], 2))
+    # row 3 is row 1 + row 2, and the kernel vector (-x, -y, 1) is large
+    x, y = 2**35 + 1, 2**35 + 3
+    cases.append(([[1, 0, x], [0, 1, y], [1, 1, x + y]], 2))
     for rows, rank in cases:
         assert fraction_rank(rows) == rank
         assert exact_rank(_sparse(rows)) == rank
-    # the full-rank bound counts nonempty rows and the columns that occur
     assert exact_rank([{}]) == 0
     assert exact_rank([{5: 3}]) == 1
     assert exact_rank([{7: 2, 9: -1}, {}, {7: -4, 9: 2}]) == 1
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin with the first 12 prime bases (exact for
-    n < 3.3 * 10**24)."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2:
-        return False
-    for b in bases:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def test_rank_primes_are_distinct_61_bit_primes():
-    assert [_is_prime(n) for n in (1, 2, 91, 561, 2**61 - 1)] == [
-        False, True, False, False, True]
-    primes = multisym._PRIMES
-    assert len(set(primes)) == len(primes) > 1
-    for p in primes:
-        assert p.bit_length() == 61 and _is_prime(p), p
+    # explicit zero entries are no entries
+    assert exact_rank([{3: 0}]) == 0
+    assert exact_rank([{0: 0, 1: 2}, {3: 0}, {1: -3, 3: 0}]) == 1
 
 
 @contextlib.contextmanager
@@ -266,11 +242,16 @@ def _deficient(draw, entries=ENTRIES, max_dim=7):
     return _product(a, b)
 
 
+@settings(max_examples=300)
 @given(_matrices(ENTRIES))
 def test_exact_rank_matches_fraction_rank(rows):
-    assert exact_rank(_sparse(rows)) == fraction_rank(rows)
+    sparse = _sparse(rows)
+    before = [dict(row) for row in sparse]
+    assert exact_rank(sparse) == fraction_rank(rows)
+    assert sparse == before  # the input rows are left as they are
 
 
+@settings(max_examples=300)
 @given(_deficient())
 def test_exact_rank_matches_fraction_rank_when_deficient(rows):
     rank = exact_rank(_sparse(rows))
@@ -278,26 +259,22 @@ def test_exact_rank_matches_fraction_rank_when_deficient(rows):
     assert rank < min(len(rows), len(rows[0]))
 
 
+@settings(max_examples=300)
 @given(_matrices(st.integers(-9, 9), max_rows=5, max_cols=5),
        st.integers(1, 1000))
-def test_multiples_of_the_first_prime_use_more_primes(rows, k):
-    # every entry is a multiple of the first prime, so its rank mod that
-    # prime is 0 and only the next primes can show the rank
+def test_exact_rank_of_multiples_of_a_61_bit_prime(rows, k):
+    # every entry is a multiple of 2**61 - 1, so the rank is invisible
+    # modulo that prime
     assume(any(any(row) for row in rows))
-    rows = [[k * multisym._PRIMES[0] * v for v in row] for row in rows]
-    with _spy("_rank_mod") as calls:
-        rank = exact_rank(_sparse(rows))
-    assert rank == fraction_rank(rows) > 0
-    assert [c[1] for c in calls[:2]] == list(multisym._PRIMES[:2])
+    rows = [[k * (2**61 - 1) * v for v in row] for row in rows]
+    assert exact_rank(_sparse(rows)) == fraction_rank(rows) > 0
 
 
 @st.composite
 def _unliftable(draw, entries=st.integers(2**400, 2**401), max_dim=4):
     """A product A [I_k | U] with A of full column rank k below its m rows
     and U a k x c block.  The kernel is spanned by the columns of [-U; I],
-    unique given its free columns and with entries beyond every prime, so
-    no kernel vector mod p lifts, and the rank is left to
-    ``fraction_rank``."""
+    unique given its free columns and with entries as huge as U's."""
     k = draw(st.integers(1, max_dim - 1))
     m = draw(st.integers(k + 1, max_dim))
     c = draw(st.integers(1, max_dim - k))
@@ -310,44 +287,17 @@ def _unliftable(draw, entries=st.integers(2**400, 2**401), max_dim=4):
                         for i in range(k)])
 
 
+@settings(max_examples=300)
 @given(_unliftable())
-def test_bound_beyond_the_primes_falls_back_to_fractions(rows):
-    with _spy("fraction_rank") as calls:
-        rank = exact_rank(_sparse(rows))
-    assert len(calls) == 1
-    assert rank == fraction_rank(rows) < len(rows[0])
+def test_exact_rank_when_the_kernel_has_huge_entries(rows):
+    assert exact_rank(_sparse(rows)) == fraction_rank(rows) < len(rows[0])
 
 
+@settings(max_examples=300)
 @given(_deficient(st.integers(2**400, 2**401), max_dim=4))
 def test_small_kernels_certify_huge_deficient_ranks(rows):
-    # equal or proportional columns give kernel vectors with small entries;
-    # whichever way the rank is proven, it is the rank over Q
+    # equal or proportional columns give kernel vectors with small entries
     assert exact_rank(_sparse(rows)) == fraction_rank(rows)
-
-
-@pytest.mark.parametrize("half", [False, True])
-def test_kernel_certificate_proves_a_rank_with_one_prime(half):
-    # the third column is the sum of the first two, or half of it, so the
-    # kernel vector is (-1, -1, 1) or (-1/2, -1/2, 1), which lifts at the
-    # first prime although the entries are far beyond it
-    big = 2**300
-    rows = [[big + i, 3 * big - i, 4 * big] for i in range(5)]
-    if half:
-        rows = [[2 * a, 2 * b, c] for a, b, c in rows]
-    with _spy("_rank_mod") as calls, _spy("fraction_rank") as fallback:
-        assert exact_rank(_sparse(rows)) == 2
-    assert len(calls) == 1 and fallback == []
-
-
-def test_a_rank_no_prime_proves_is_left_to_fraction_rank():
-    # row 3 is row 1 + row 2, and the kernel vector (-x, -y, 1) has entries
-    # beyond rational reconstruction at every prime
-    x, y = 2**35 + 1, 2**35 + 3
-    rows = [{0: 1, 2: x}, {1: 1, 2: y}, {0: 1, 1: 1, 2: x + y}]
-    with _spy("_rank_mod") as calls, _spy("fraction_rank") as fallback:
-        assert exact_rank(rows) == 2
-    assert [c[1] for c in calls] == list(multisym._PRIMES)
-    assert len(fallback) == 1
 
 
 def _closed_form_dims(family, n, ideal, max_degree):
@@ -362,13 +312,13 @@ def _closed_form_dims(family, n, ideal, max_degree):
 
 
 def test_quotient_ranks_are_certified_without_fractions():
-    # the rank-4 quotients are rank-deficient with entries far beyond the
-    # primes, and their kernels lift
+    # the rank-4 quotients are rank-deficient; integer elimination ranks
+    # them without building a Fraction
     cases = [("u", 3, ecom_ideal, 9), ("u", 4, ecom_ideal, 10),
              ("u", 4, ecom_ideal, 12), ("u", 4, bcom_ideal, 12),
              ("su", 4, bcom_ideal, 12)]
     for family, n, ideal, max_degree in cases:
-        with _spy("fraction_rank") as calls:
+        with _spy("Fraction") as calls:
             dims = quotient_graded_dims("sym", n, ideal(family, n), max_degree)
         assert calls == [], (family, n, max_degree)
         assert dims == _closed_form_dims(family, n, ideal, max_degree)
