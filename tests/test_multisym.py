@@ -174,15 +174,6 @@ def test_exact_rank():
         ([[Fraction(2, 3), one]], 1),
         ([[1, 2], [2, 4]], 1),
     ]
-    # the third column is the sum of the first two, or half of it, with
-    # entries near 2**300
-    big = 2**300
-    rows = [[big + i, 3 * big - i, 4 * big] for i in range(5)]
-    cases.append((rows, 2))
-    cases.append(([[2 * a, 2 * b, c] for a, b, c in rows], 2))
-    # row 3 is row 1 + row 2, and the kernel vector (-x, -y, 1) is large
-    x, y = 2**35 + 1, 2**35 + 3
-    cases.append(([[1, 0, x], [0, 1, y], [1, 1, x + y]], 2))
     for rows, rank in cases:
         assert fraction_rank(rows) == rank
         assert exact_rank(_sparse(rows)) == rank
@@ -298,6 +289,33 @@ def test_exact_rank_when_the_kernel_has_huge_entries(rows):
 def test_small_kernels_certify_huge_deficient_ranks(rows):
     # equal or proportional columns give kernel vectors with small entries
     assert exact_rank(_sparse(rows)) == fraction_rank(rows)
+
+
+@pytest.mark.parametrize("half", [False, True])
+def test_kernel_certificate_proves_a_rank_with_one_prime(half):
+    # the third column is the sum of the first two, or half of it, so the
+    # kernel vector is (-1, -1, 1) or (-1/2, -1/2, 1) while the entries are
+    # near 2**300; integer elimination ranks it without a Fraction
+    big = 2**300
+    rows = [[big + i, 3 * big - i, 4 * big] for i in range(5)]
+    if half:
+        rows = [[2 * a, 2 * b, c] for a, b, c in rows]
+    assert fraction_rank(rows) == 2
+    with _spy("Fraction") as calls:
+        assert exact_rank(_sparse(rows)) == 2
+    assert calls == []
+
+
+def test_a_rank_no_prime_proves_is_left_to_fraction_rank():
+    # row 3 is row 1 + row 2, and the kernel vector (-x, -y, 1) has entries
+    # beyond rational reconstruction at any 61-bit prime; integer
+    # elimination still ranks it without a Fraction
+    x, y = 2**35 + 1, 2**35 + 3
+    rows = [{0: 1, 2: x}, {1: 1, 2: y}, {0: 1, 1: 1, 2: x + y}]
+    assert fraction_rank([[1, 0, x], [0, 1, y], [1, 1, x + y]]) == 2
+    with _spy("Fraction") as calls:
+        assert exact_rank(rows) == 2
+    assert calls == []
 
 
 def _closed_form_dims(family, n, ideal, max_degree):
