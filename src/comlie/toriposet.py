@@ -4,12 +4,18 @@ A subtorus cut out by equalities among diagonal entries corresponds to a set
 partition of the coordinates; conjugacy classes of such subtori correspond
 to integer partitions of n, and each class is a flag manifold modulo the
 permutations of its equal-size stages.  Chains of subtori, up to simultaneous
-conjugation, become refinement chains of set partitions up to relabeling,
-which this module enumerates by a canonical nested-multiset form.
+conjugation, become refinement chains of set partitions up to relabeling.
+``chain_classes`` lists them one level at a time, keeping only the least
+chain of each prefix class (keyed by a canonical nested multiset of block
+sizes) and refining only those; this is exact because chains compare prefix
+first, so every prefix of a class's least chain is least in its own class.
+``chain_class_count_bruteforce`` still enumerates every labelled chain, as
+the independent check.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from math import factorial
 from typing import NamedTuple
@@ -169,9 +175,16 @@ def chain_orbit_key(chain: Chain):
 
 
 def _validate_ivals(n: int, ivals: tuple[int, ...]) -> tuple[int, ...]:
+    try:
+        operator.index(n)
+    except TypeError:
+        raise TypeError(f"n must be an integer, not {n!r}") from None
     if n < 1:
         raise ValueError("n must be >= 1")
-    ivals = tuple(ivals)
+    try:
+        ivals = tuple(map(operator.index, ivals))
+    except TypeError:
+        raise TypeError(f"ivals must be integers, not {ivals!r}") from None
     if not ivals:
         raise ValueError("ivals must be nonempty")
     if list(ivals) != sorted(set(ivals)):
@@ -183,17 +196,33 @@ def _validate_ivals(n: int, ivals: tuple[int, ...]) -> tuple[int, ...]:
 
 def chain_classes(n: int, ivals: tuple[int, ...]) -> list[ChainClass]:
     """Relabeling classes of chains whose r-th member has ivals[r] + 1
-    blocks (the rank of the corresponding subtorus above the center)."""
+    blocks (the rank of the corresponding subtorus above the center).
+
+    Built one level at a time: of each class of prefixes only the least is
+    kept and refined.  Chains compare prefix first, so a relabeling that
+    lowered a prefix of a class's least chain would lower the chain itself;
+    every prefix of that chain is therefore kept, and the result is the
+    least chain of every class, as full enumeration gives."""
     ivals = _validate_ivals(n, ivals)
     block_counts = tuple(i + 1 for i in ivals)
-    best: dict = {}
-    for chain in _chains(n, block_counts):
-        key = chain_orbit_key(chain)
-        if key not in best or chain < best[key]:
-            best[key] = chain
+    items = tuple(range(1, n + 1))
+    prefixes: list[Chain] = [()]
+    for num_blocks in block_counts:
+        best: dict = {}
+        for prefix in prefixes:
+            if prefix:
+                source = refinements_with_blocks(prefix[-1], num_blocks)
+            else:
+                source = set_partitions_with_blocks(items, num_blocks)
+            for part in source:
+                chain = prefix + (part,)
+                key = chain_orbit_key(chain)
+                if key not in best or chain < best[key]:
+                    best[key] = chain
+        prefixes = list(best.values())
     classes = [
         ChainClass(representative=chain, block_counts=block_counts)
-        for chain in best.values()
+        for chain in prefixes
     ]
     classes.sort(key=lambda c: c.representative)
     return classes

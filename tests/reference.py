@@ -5,8 +5,9 @@ without ever forming it; the product combinators multiply the closed forms
 of a cartesian product of groups; the diagonal action and the enumerated
 group average are what the orbit-sum coordinates of ``multisym`` replace;
 Gaussian elimination over Fraction is the oracle of ``multisym.exact_rank``;
-the tableau count is independent of the hook formula.  None is on a
-library or CLI path.
+the tableau count is independent of the hook formula; keying every labelled
+chain is what the least-prefix build of ``toriposet.chain_classes``
+replaces.  None is on a library or CLI path.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from comlie.qseries import (
     _divide_by_factor,
     _multiply_by_factor,
 )
+from comlie.toriposet import ChainClass, _chains, chain_orbit_key
 from comlie.weylcomb import CycleData, SignedPermutation, elements, group_order
 
 
@@ -146,6 +148,23 @@ def fraction_rank(rows: list[list[Coeff]]) -> int:
                 pivots.append((col, work))
                 break
     return len(pivots)
+
+
+def chain_classes_by_enumeration(n: int, ivals: tuple[int, ...]) -> list[ChainClass]:
+    """``toriposet.chain_classes`` by keying every labelled chain and keeping
+    the least chain per key."""
+    block_counts = tuple(i + 1 for i in ivals)
+    best: dict = {}
+    for chain in _chains(n, block_counts):
+        key = chain_orbit_key(chain)
+        if key not in best or chain < best[key]:
+            best[key] = chain
+    classes = [
+        ChainClass(representative=chain, block_counts=block_counts)
+        for chain in best.values()
+    ]
+    classes.sort(key=lambda c: c.representative)
+    return classes
 
 
 def count_standard_tableaux(shape: tuple[int, ...]) -> int:

@@ -2,6 +2,7 @@ import itertools
 from math import factorial
 
 import pytest
+from reference import chain_classes_by_enumeration
 
 from comlie import toriposet
 from comlie.qseries import QPoly
@@ -173,6 +174,54 @@ def test_chain_classes_validation():
             call(0, (0,))
         with pytest.raises(ValueError, match="n must be >= 1"):
             call(-2, (0,))
+
+
+def test_non_integer_input_is_a_type_error_naming_the_argument():
+    for call in (chain_classes, chain_class_count_bruteforce):
+        with pytest.raises(TypeError, match="ivals"):
+            call(3, (0.5,))
+        with pytest.raises(TypeError, match="ivals"):
+            call(4, (1, 2.5))
+        with pytest.raises(TypeError, match="ivals"):
+            call(3, 1)
+        with pytest.raises(TypeError, match="n must be an integer"):
+            call(3.0, (1,))
+        with pytest.raises(TypeError, match="n must be an integer"):
+            call("3", (1,))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chain_classes_match_full_enumeration(n):
+    for ivals in _all_ivals(n) if n <= 6 else CHAIN_IVALS:
+        assert chain_classes(n, ivals) == chain_classes_by_enumeration(n, ivals)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_representatives_are_least_in_their_class(n):
+    perms = list(itertools.permutations(range(1, n + 1)))
+    for ivals in _all_ivals(n):
+        classes = chain_classes(n, ivals)
+        keys = {chain_orbit_key(c.representative) for c in classes}
+        assert len(keys) == len(classes)
+        for cls in classes:
+            rep = cls.representative
+            assert all(rep <= toriposet._apply_to_chain(p, rep) for p in perms)
+
+
+def test_chain_classes_key_only_least_prefixes(monkeypatch):
+    key = toriposet.chain_orbit_key
+    keyed = 0
+
+    def counted(chain):
+        nonlocal keyed
+        keyed += 1
+        return key(chain)
+
+    monkeypatch.setattr(toriposet, "chain_orbit_key", counted)
+    assert len(chain_classes(8, (1, 3))) == 19
+    # 127 two-block partitions, then the refinements of the 4 least ones;
+    # keying every labelled chain takes 11 907
+    assert keyed <= 700
 
 
 @pytest.mark.parametrize("n", range(2, 8))
