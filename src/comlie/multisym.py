@@ -69,20 +69,6 @@ def _coeff(value: Coeff) -> Coeff:
     return value.numerator if value.denominator == 1 else value
 
 
-def _numerators(terms: dict) -> tuple[list[tuple[object, int]], int]:
-    """The (key, coefficient) items as integer numerators over the least
-    common denominator of the coefficients, and that denominator."""
-    dens = {c.denominator for c in terms.values() if type(c) is Fraction}
-    if not dens:
-        return list(terms.items()), 1
-    den = math.lcm(*dens)
-    return [
-        (key, c.numerator * (den // c.denominator) if type(c) is Fraction
-         else c * den)
-        for key, c in terms.items()
-    ], den
-
-
 def _wrap_terms(n: int, terms: dict[ExpKey, Coeff]) -> "MultiPoly":
     """A polynomial on a term dict built by an operation; integral
     Fractions become ints."""
@@ -190,12 +176,10 @@ class MultiPoly:
                 self.n, {key: v * c for key, v in self.terms.items()})
         if self.n != other.n:
             raise ValueError("size mismatch")
-        # integer arithmetic in the pair loop; one division per output term
-        left, den_left = _numerators(self.terms)
-        right, den_right = _numerators(other.terms)
         out: dict[ExpKey, Coeff] = {}
         get = out.get
-        for (x1, y1), c1 in left:
+        right = other.terms.items()
+        for (x1, y1), c1 in self.terms.items():
             for (x2, y2), c2 in right:
                 key = (tuple(map(add, x1, x2)), tuple(map(add, y1, y2)))
                 v = get(key, 0) + c1 * c2
@@ -203,9 +187,6 @@ class MultiPoly:
                     out[key] = v
                 else:
                     del out[key]
-        den = den_left * den_right
-        if den != 1:
-            out = {key: Fraction(v, den) for key, v in out.items()}
         return _wrap_terms(self.n, out)
 
     __rmul__ = __mul__
@@ -241,35 +222,33 @@ def power_sum(n: int, a: int, b: int) -> MultiPoly:
     return MultiPoly(n, terms)
 
 
+def _flag_exponents(w: SignedPermutation) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The x- and y-exponent vectors of the signed descent monomial of w."""
+    yexp = [0] * w.n
+    for v, f in zip(w.word, w.flag_vector()):
+        yexp[abs(v) - 1] = f
+    return w.inverse().flag_vector(), tuple(yexp)
+
+
 def descent_monomial(w: Permutation) -> MultiPoly:
     """Product over descents i of w^-1 of x_1..x_i, times the product over
     descents j of w of y_w(1)..y_w(j).
 
     The x-degree is the major index of w^-1 and the y-degree that of w.
+    The exponents are the halved flag exponents: on a positive word each
+    flag-vector entry is twice the number of descents at or after its
+    position.
     """
-    n = w.n
-    xexp = [0] * n
-    yexp = [0] * n
-    for i in w.inverse().descent_set():
-        for k in range(i):
-            xexp[k] += 1
-    for j in w.descent_set():
-        for k in range(1, j + 1):
-            yexp[w(k) - 1] += 1
-    return MultiPoly.monomial(n, tuple(xexp), tuple(yexp))
+    xexp, yexp = _flag_exponents(w)
+    return MultiPoly.monomial(w.n, tuple(e // 2 for e in xexp),
+                              tuple(e // 2 for e in yexp))
 
 
 def signed_descent_monomial(w: SignedPermutation) -> MultiPoly:
     """Monomial with x_i-exponent the i-th flag-vector entry of w^-1 and
     y_|w(i)|-exponent the i-th flag-vector entry of w; its total degree is
     fmaj(w^-1) + fmaj(w)."""
-    n = w.n
-    xexp = list(w.inverse().flag_vector())
-    fv = w.flag_vector()
-    yexp = [0] * n
-    for i in range(1, n + 1):
-        yexp[abs(w(i)) - 1] = fv[i - 1]
-    return MultiPoly.monomial(n, tuple(xexp), tuple(yexp))
+    return MultiPoly.monomial(w.n, *_flag_exponents(w))
 
 
 @lru_cache(maxsize=None)

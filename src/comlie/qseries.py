@@ -33,11 +33,14 @@ def _used_length(coeffs: Sequence[int]) -> int:
 
 def _convolve(a: Sequence[int], b: Sequence[int], trunc: int) -> list[int]:
     """Coefficients 0..``trunc`` of the product of two nonempty coefficient
-    sequences, constant term first; the one convolution of the library."""
-    if len(a) > len(b):
-        a, b = b, a
+    sequences, constant term first; the one convolution of the library.
+    The inner operand is the one with fewer coefficients up to its last
+    nonzero one, so a padded polynomial times a dense series costs the
+    polynomial's length per output coefficient."""
+    used, used_b = _used_length(a), _used_length(b)
+    if used > used_b:
+        a, b, used = b, a, used_b
     top = min(trunc, len(a) + len(b) - 2)
-    used = _used_length(a)
     # window[top - k + i] == b[k - i], zero outside b, so that each output
     # coefficient is one dot product of ``a`` with a slice of the window
     window = [0] * (top + 1 - len(b)) + [*b[top::-1]] + [0] * (used - 1)

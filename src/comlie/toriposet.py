@@ -134,17 +134,15 @@ def refinements_with_blocks(partition: SetPartition, num_blocks: int):
 
 
 def _chains(n: int, block_counts: tuple[int, ...]):
-    items = tuple(range(1, n + 1))
+    whole = (tuple(range(1, n + 1)),)
 
     def rec(level: int, chain: list[SetPartition]):
         if level == len(block_counts):
             yield tuple(chain)
             return
-        if level == 0:
-            source = set_partitions_with_blocks(items, block_counts[0])
-        else:
-            source = refinements_with_blocks(chain[-1], block_counts[level])
-        for part in source:
+        # level 0 refines the one-block partition
+        for part in refinements_with_blocks(
+                chain[-1] if chain else whole, block_counts[level]):
             chain.append(part)
             yield from rec(level + 1, chain)
             chain.pop()
@@ -205,16 +203,14 @@ def chain_classes(n: int, ivals: tuple[int, ...]) -> list[ChainClass]:
     least chain of every class, as full enumeration gives."""
     ivals = _validate_ivals(n, ivals)
     block_counts = tuple(i + 1 for i in ivals)
-    items = tuple(range(1, n + 1))
+    whole = (tuple(range(1, n + 1)),)
     prefixes: list[Chain] = [()]
     for num_blocks in block_counts:
         best: dict = {}
         for prefix in prefixes:
-            if prefix:
-                source = refinements_with_blocks(prefix[-1], num_blocks)
-            else:
-                source = set_partitions_with_blocks(items, num_blocks)
-            for part in source:
+            # level 0 refines the one-block partition
+            for part in refinements_with_blocks(
+                    prefix[-1] if prefix else whole, num_blocks):
                 chain = prefix + (part,)
                 key = chain_orbit_key(chain)
                 if key not in best or chain < best[key]:

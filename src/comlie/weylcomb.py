@@ -16,6 +16,7 @@ import itertools
 from collections import namedtuple
 from functools import lru_cache
 from math import factorial
+from operator import mul
 from typing import Iterator, TypeVar
 
 #: Largest rank accepted by :func:`elements` for plain permutations.
@@ -190,6 +191,18 @@ def _check_enumerable(kind: str, n: int) -> None:
         )
 
 
+def _words(kind: str, n: int) -> Iterator[tuple[int, ...]]:
+    """The raw words of the group: permutations in lexicographic order, and
+    for 'signed' the 2^n sign choices of each iterated innermost.  Raises
+    GroupSizeError above the enumeration cap."""
+    _check_enumerable(kind, n)
+    words = itertools.permutations(range(1, n + 1))
+    if kind == "sym":
+        return words
+    signs = list(itertools.product((1, -1), repeat=n))
+    return (tuple(map(mul, mask, base)) for base in words for mask in signs)
+
+
 def elements(kind: str, n: int) -> Iterator[SignedPermutation]:
     """Stream every element of the group exactly once.
 
@@ -197,14 +210,8 @@ def elements(kind: str, n: int) -> Iterator[SignedPermutation]:
     'signed' the 2^n sign choices of each word iterated innermost.  Raises
     GroupSizeError above the enumeration cap (9 for 'sym', 5 for 'signed').
     """
-    _check_enumerable(kind, n)
-    if kind == "sym":
-        for word in itertools.permutations(range(1, n + 1)):
-            yield Permutation(word)
-    else:
-        for base in itertools.permutations(range(1, n + 1)):
-            for signs in itertools.product((1, -1), repeat=n):
-                yield SignedPermutation(tuple(s * v for s, v in zip(signs, base)))
+    yield from map(Permutation if kind == "sym" else SignedPermutation,
+                   _words(kind, n))
 
 
 @lru_cache(maxsize=None)
@@ -213,44 +220,33 @@ def pair_statistic_counts(kind: str, n: int) -> tuple[tuple[int, int], ...]:
     (value, multiplicity) pairs, with stat the major index for 'sym' and the
     flag major index for 'signed'.
 
-    Raw-word loops keep rank 9 enumeration in seconds; the element methods
-    (``major_index``, ``flag_major_index``, ``inverse``) compute the same
-    statistics one object at a time and are the reference for this kernel.
-    Raises GroupSizeError above the enumeration cap.
+    One raw-word loop serves both kinds: it counts
+    h(w) = maj(w) + maj(w^-1) + neg(w), which is the 'sym' statistic, and
+    the 'signed' one is 2h, since fmaj = 2 maj + neg and w^-1 has as many
+    negative entries as w.  The loop keeps rank 9 enumeration in seconds;
+    the element methods (``major_index``, ``flag_major_index``,
+    ``inverse``) compute the same statistics one object at a time and are
+    the reference for this kernel.  Raises GroupSizeError above the
+    enumeration cap.
     """
-    _check_enumerable(kind, n)
     counts: dict[int, int] = {}
-    if kind == "sym":
-        for word in itertools.permutations(range(1, n + 1)):
-            inv = [0] * n
-            maj = 0
-            prev = word[0]
-            inv[prev - 1] = 1
-            for i in range(1, n):
-                v = word[i]
+    positions = range(1, n)
+    for word in _words(kind, n):
+        inv = [0] * n
+        prev = word[0]
+        h = 0 if prev > 0 else 1
+        inv[abs(prev) - 1] = 1 if prev > 0 else -1
+        for i in positions:
+            v = word[i]
+            if v > 0:
                 inv[v - 1] = i + 1
-                if prev > v:
-                    maj += i
-                prev = v
-            maj_inv = sum(i for i in range(1, n) if inv[i - 1] > inv[i])
-            stat = maj + maj_inv
-            counts[stat] = counts.get(stat, 0) + 1
-    else:
-        signs = list(itertools.product((1, -1), repeat=n))
-        for base in itertools.permutations(range(1, n + 1)):
-            for mask in signs:
-                word = tuple(s * v for s, v in zip(mask, base))
-                inv = [0] * n
-                neg = 0
-                for i, v in enumerate(word, start=1):
-                    if v > 0:
-                        inv[v - 1] = i
-                    else:
-                        inv[-v - 1] = -i
-                        neg += 1
-                maj = sum(i for i in range(1, n) if word[i - 1] > word[i])
-                maj_inv = sum(i for i in range(1, n) if inv[i - 1] > inv[i])
-                neg_inv = sum(1 for v in inv if v < 0)
-                stat = (2 * maj + neg) + (2 * maj_inv + neg_inv)
-                counts[stat] = counts.get(stat, 0) + 1
-    return tuple(sorted(counts.items()))
+            else:
+                inv[-v - 1] = -i - 1
+                h += 1
+            if prev > v:
+                h += i
+            prev = v
+        h += sum(i for i in positions if inv[i - 1] > inv[i])
+        counts[h] = counts.get(h, 0) + 1
+    scale = 1 if kind == "sym" else 2
+    return tuple((scale * h, count) for h, count in sorted(counts.items()))

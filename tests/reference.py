@@ -5,9 +5,11 @@ without ever forming it; the product combinators multiply the closed forms
 of a cartesian product of groups; the diagonal action and the enumerated
 group average are what the orbit-sum coordinates of ``multisym`` replace;
 Gaussian elimination over Fraction is the oracle of ``multisym.exact_rank``;
-the tableau count is independent of the hook formula; keying every labelled
-chain is what the least-prefix build of ``toriposet.chain_classes``
-replaces.  None is on a library or CLI path.
+the descent-loop monomial is what the flag-vector exponents of
+``multisym.descent_monomial`` replace; the tableau count is independent of
+the hook formula; keying every labelled chain is what the least-prefix
+build of ``toriposet.chain_classes`` replaces.  None is on a library or CLI
+path.
 """
 
 from __future__ import annotations
@@ -25,7 +27,13 @@ from comlie.qseries import (
     _multiply_by_factor,
 )
 from comlie.toriposet import ChainClass, _chains, chain_orbit_key
-from comlie.weylcomb import CycleData, SignedPermutation, elements, group_order
+from comlie.weylcomb import (
+    CycleData,
+    Permutation,
+    SignedPermutation,
+    elements,
+    group_order,
+)
 
 
 def _check_consistent(group: GroupSpec, cycles: CycleData) -> None:
@@ -125,6 +133,21 @@ def average(kind: str, poly: MultiPoly) -> MultiPoly:
     for w in elements(kind, poly.n):
         total = total + act(w, poly)
     return total * Fraction(1, group_order(kind, poly.n))
+
+
+def descent_monomial_by_descents(w: Permutation) -> MultiPoly:
+    """Product over descents i of w^-1 of x_1..x_i, times the product over
+    descents j of w of y_w(1)..y_w(j), one descent at a time."""
+    n = w.n
+    xexp = [0] * n
+    yexp = [0] * n
+    for i in w.inverse().descent_set():
+        for k in range(i):
+            xexp[k] += 1
+    for j in w.descent_set():
+        for k in range(1, j + 1):
+            yexp[w(k) - 1] += 1
+    return MultiPoly.monomial(n, tuple(xexp), tuple(yexp))
 
 
 def invariant_graded_dim(kind: str, n: int, degree: int) -> int:

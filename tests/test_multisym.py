@@ -31,7 +31,13 @@ from comlie.weylcomb import (
     SignedPermutation,
     elements,
 )
-from reference import act, average, fraction_rank, invariant_graded_dim
+from reference import (
+    act,
+    average,
+    descent_monomial_by_descents,
+    fraction_rank,
+    invariant_graded_dim,
+)
 
 
 def mono(n, xexp, yexp, coeff=1):
@@ -127,6 +133,12 @@ def test_descent_monomial_degrees_match_major_indices(n):
         ((xexp, yexp),) = m.terms
         assert sum(xexp) == w.inverse().major_index()
         assert sum(yexp) == w.major_index()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_descent_monomial_matches_the_descent_loop(n):
+    for w in elements("sym", n):
+        assert descent_monomial(w) == descent_monomial_by_descents(w)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from comlie import qseries
 from comlie.qseries import (
     QPoly,
     RationalSeries,
@@ -79,6 +80,27 @@ def test_palindromic():
     assert QPoly({1: 1, 3: 1}).is_palindromic(4)
     assert not QPoly({0: 1, 6: 1}).is_palindromic(4)
     assert QPoly.zero().is_palindromic()
+
+
+@pytest.mark.parametrize("poly_first", [True, False])
+def test_padded_polynomial_times_dense_series_walks_the_polynomial(
+        monkeypatch, poly_first):
+    # equal lengths: the inner operand must be chosen by nonzero length
+    calls = 0
+
+    def counting_mul(a, b):
+        nonlocal calls
+        calls += 1
+        return a * b
+
+    dense = TruncatedSeries(tuple(range(1, 402)))
+    poly = TruncatedSeries((1, -2, 1) + (0,) * 398)
+    monkeypatch.setattr(qseries, "mul", counting_mul)
+    product = poly * dense if poly_first else dense * poly
+    monkeypatch.undo()
+    assert calls <= 3 * 401
+    # the second difference of 1, 2, 3, ... vanishes after the first term
+    assert product.coeffs == (1,) + (0,) * 400
 
 
 def test_truncated_series_mismatch_raises():

@@ -119,9 +119,18 @@ def test_refinements_split_each_block_once_per_block_count(monkeypatch):
     monkeypatch.setattr(toriposet, "refinements_with_blocks", listed_refine)
     chains = list(toriposet._chains(6, (1, 2, 3, 4, 5, 6)))
     assert len(chains) == 2700
-    # one call lists the first level; every other one splits a (block, k)
-    # pair that some refinements_with_blocks call visited, and only once
-    assert len(calls) == 1 + visited <= 1 + bound
+    # the first level refines the one-block partition, so every call splits
+    # a (block, k) pair that some refinements_with_blocks call visited, and
+    # only once
+    assert len(calls) == visited <= bound
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_refining_the_one_block_partition_lists_the_set_partitions(n):
+    items = tuple(range(1, n + 1))
+    for k in range(n + 2):
+        assert (list(refinements_with_blocks((items,), k))
+                == list(set_partitions_with_blocks(items, k)))
 
 
 # the ivals of the benchmark's chain requests

@@ -8,6 +8,7 @@ from comlie.weylcomb import (
     GroupSizeError,
     Permutation,
     SignedPermutation,
+    _words,
     elements,
     group_order,
     pair_statistic_counts,
@@ -37,6 +38,14 @@ def test_enumeration_counts():
         assert len(list(elements("sym", n))) == group_order("sym", n)
     for n in range(1, 4):
         assert len(list(elements("signed", n))) == group_order("signed", n)
+
+
+@pytest.mark.parametrize("kind, n", [
+    *(("sym", n) for n in range(1, 6)),
+    *(("signed", n) for n in range(1, 4)),
+])
+def test_elements_follow_the_raw_words(kind, n):
+    assert [w.word for w in elements(kind, n)] == list(_words(kind, n))
 
 
 def test_enumeration_is_duplicate_free():
@@ -155,8 +164,8 @@ def test_flag_major_index_generating_function(n):
 
 
 @pytest.mark.parametrize("kind, n", [
-    *(("sym", n) for n in range(1, 7)),
-    *(("signed", n) for n in range(1, 5)),
+    *(("sym", n) for n in range(1, 8)),
+    *(("signed", n) for n in range(1, 6)),
 ])
 def test_pair_statistic_kernel_matches_element_methods(kind, n):
     def stat(w):
