@@ -22,6 +22,9 @@ on one row format from the row builders to ``exact_rank``: a sparse row
 {column: nonzero int}, which structure constants and products of primitive
 orbit sums always give.  ``exact_rank`` eliminates these rows over the
 integers, fraction-free, so each rank is exact integer arithmetic.
+Each graded check is a loop over per-degree answers memoised for the
+process, each keyed by exactly the inputs that determine it, so a degree
+already ranked is never ranked again.
 
 All polynomial degrees here are plain degrees of polynomials; the doubling
 to cohomological degree happens in callers.
@@ -32,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -454,9 +458,21 @@ def quotient_graded_dims(
         raise ValueError("signed quotients need even-degree generators")
     dims: GradedDims = {}
     for d in range(max_degree + 1):
-        rows = _quotient_rows(kind, n, ideal.generators, d)
-        dims[d] = len(_columns(kind, n, d)) - exact_rank(rows)
+        _, rank = _span(_quotient_rows, kind, n, ideal.generators, d)
+        dims[d] = len(_columns(kind, n, d)) - rank
     return dims
+
+
+@lru_cache(maxsize=None)
+def _span(
+    build: Callable[[str, int, tuple, int], list[Row]],
+    kind: str, n: int, spec: tuple, degree: int,
+) -> tuple[int, int]:
+    """The number of rows ``build(kind, n, spec, degree)`` gives and their
+    rank: one degree of a graded check, memoised for the process by the
+    row builder and exactly the inputs that determine its rows."""
+    rows = build(kind, n, spec, degree)
+    return len(rows), exact_rank(rows)
 
 
 def _quotient_rows(
@@ -520,16 +536,15 @@ def _monomial_rep(kind: str, mono: MultiPoly) -> OrbitRep | None:
     return tuple(sorted(pairs, key=_pair_order, reverse=True))
 
 
+@lru_cache(maxsize=None)
 def _descent_reps(
     kind: str, n: int
-) -> list[tuple[SignedPermutation, OrbitRep | None]]:
+) -> tuple[tuple[SignedPermutation, OrbitRep | None], ...]:
     """Each element with the orbit representative of its (signed) descent
     monomial, None where the monomial averages to zero."""
-    out = []
-    for w in elements(kind, n):
-        mono = descent_monomial(w) if kind == "sym" else signed_descent_monomial(w)
-        out.append((w, _monomial_rep(kind, mono)))
-    return out
+    monomial = descent_monomial if kind == "sym" else signed_descent_monomial
+    return tuple((w, _monomial_rep(kind, monomial(w)))
+                 for w in elements(kind, n))
 
 
 def averaged_descent_basis(
@@ -561,44 +576,54 @@ def verify_free_basis(kind: str, n: int, max_degree: int) -> BasisReport:
     rank, so they are independent and span the graded piece.
     """
     _check_feasible(kind, n, max_degree)
-    reps = [rep for _, rep in _descent_reps(kind, n)]
+    reps = tuple(rep for _, rep in _descent_reps(kind, n))
     degrees = tuple(sorted(-1 if rep is None else sum(map(sum, rep))
                            for rep in reps))
     if None in reps:
         return BasisReport(kind, n, False, len(reps), degrees,
                            "an averaged descent monomial vanished")
+    for d in range(max_degree + 1):
+        dim = len(_columns(kind, n, d))
+        count, rank = _span(_basis_rows, kind, n, reps, d)
+        if count != dim:
+            return BasisReport(
+                kind, n, False, len(reps), degrees,
+                f"Hilbert series mismatch in degree {d}: "
+                f"{count} products, dimension {dim}",
+            )
+        if rank != dim:
+            return BasisReport(
+                kind, n, False, len(reps), degrees,
+                f"products only span rank {rank} of {dim} in degree {d}",
+            )
+    return BasisReport(kind, n, True, len(reps), degrees,
+                       f"free basis verified through degree {max_degree}")
+
+
+def _basis_rows(
+    kind: str, n: int, reps: tuple[OrbitRep, ...], degree: int
+) -> list[Row]:
+    """The degree-``degree`` products basis x (block invariants), for the
+    basis of orbit representatives ``reps``, as sparse rows in orbit-sum
+    coordinates."""
     # the primitive orbit sums: each averaged monomial times its orbit size,
     # which scales rows by nonzero constants and leaves every rank as it is
-    basis = [(sum(map(sum, rep)), orbit_sum(n, rep)) for rep in reps]
-    for d in range(max_degree + 1):
-        reps_d = monomial_orbit_reps(kind, n, d)
-        products = []
-        for bdeg, bpoly in basis:
-            if bdeg > d:
+    reps_d = monomial_orbit_reps(kind, n, degree)
+    products = []
+    for rep in reps:
+        bdeg = sum(map(sum, rep))
+        if bdeg > degree:
+            continue
+        bpoly = orbit_sum(n, rep)
+        for ex in range(degree - bdeg + 1):
+            lam_ys = _block_exponents(kind, n, degree - bdeg - ex)
+            if not lam_ys:
                 continue
-            for ex in range(d - bdeg + 1):
-                lam_ys = _block_exponents(kind, n, d - bdeg - ex)
-                if not lam_ys:
-                    continue
-                for lam_x in _block_exponents(kind, n, ex):
-                    bx = bpoly * _block_poly(n, lam_x, "x")
-                    for lam_y in lam_ys:
-                        products.append(bx * _block_poly(n, lam_y, "y"))
-        if len(products) != len(reps_d):
-            return BasisReport(
-                kind, n, False, len(basis), degrees,
-                f"Hilbert series mismatch in degree {d}: "
-                f"{len(products)} products, dimension {len(reps_d)}",
-            )
-        rows = [invariant_coordinates(p, reps_d) for p in products]
-        rank = exact_rank(rows)
-        if rank != len(reps_d):
-            return BasisReport(
-                kind, n, False, len(basis), degrees,
-                f"products only span rank {rank} of {len(reps_d)} in degree {d}",
-            )
-    return BasisReport(kind, n, True, len(basis), degrees,
-                       f"free basis verified through degree {max_degree}")
+            for lam_x in _block_exponents(kind, n, ex):
+                bx = bpoly * _block_poly(n, lam_x, "x")
+                for lam_y in lam_ys:
+                    products.append(bx * _block_poly(n, lam_y, "y"))
+    return [invariant_coordinates(p, reps_d) for p in products]
 
 
 def generation_generators(kind: str, n: int, max_degree: int) -> tuple[Pair, ...]:
@@ -647,8 +672,9 @@ def verify_power_sum_generation(kind: str, n: int, max_degree: int) -> CheckRepo
     _check_feasible(kind, n, max_degree)
     gens = generation_generators(kind, n, max_degree)
     for d in range(max_degree + 1):
-        rows = _generation_rows(kind, n, gens, d)
-        rank = exact_rank(rows)
+        # generators above degree d take no part in its rows
+        _, rank = _span(_generation_rows, kind, n,
+                        tuple(g for g in gens if g[0] + g[1] <= d), d)
         dim = len(_columns(kind, n, d))
         if rank != dim:
             return CheckReport(

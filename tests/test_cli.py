@@ -594,6 +594,33 @@ def test_one_parser_serves_every_call_as_a_fresh_process(capsys, monkeypatch):
         assert got == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
+@pytest.mark.parametrize("suite, group, rank, maxdeg, smaller", [
+    ("basis", "u", 3, 12, 6),
+    ("basis", "sp", 2, 16, 10),
+    ("generation", "su", 3, 10, 4),
+    ("generation", "sp", 2, 12, 8),
+])
+def test_verify_in_one_process_matches_fresh_processes(
+        capsys, suite, group, rank, maxdeg, smaller):
+    # cold, warm and after a smaller --maxdeg, the memoised ranks give what
+    # a fresh process prints
+    from comlie import multisym
+
+    for obj in vars(multisym).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for deg in (maxdeg, maxdeg, smaller):
+        argv = ["verify", "--suite", suite, "--group", group, "--rank",
+                str(rank), "--maxdeg", str(deg)]
+        code, out, _ = run(capsys, argv)
+        proc = subprocess.run([sys.executable, "-m", "comlie", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+        assert code == 0 and out.startswith("PASS")
+
+
 def test_commands_are_looked_up_at_call_time(capsys, monkeypatch):
     argv = ["series", "--group", "u", "--rank", "2", "--maxdeg", "4"]
     assert run(capsys, argv)[0] == 0

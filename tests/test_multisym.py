@@ -44,6 +44,19 @@ def mono(n, xexp, yexp, coeff=1):
     return MultiPoly.monomial(n, xexp, yexp, coeff)
 
 
+def _clear_memos():
+    for obj in vars(multisym).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _cold_memos():
+    """Start each test with the multisym memos empty, so that a spy sees the
+    ranks and products a call makes whatever ran before it."""
+    _clear_memos()
+
+
 def test_act_examples():
     p = mono(2, (1, 0), (0, 1))  # x1 y2
     assert act(Permutation((2, 1)), p) == mono(2, (0, 1), (1, 0))
@@ -487,6 +500,67 @@ def test_free_basis_with_a_vanishing_monomial_fails(monkeypatch):
     report = verify_free_basis("signed", 2, 8)
     assert not report.passed and -1 in report.degrees
     assert report.detail == "an averaged descent monomial vanished"
+
+
+def test_mutated_bases_after_a_clean_run_fail_as_they_do_cold(monkeypatch):
+    # the basis memo is keyed by the representatives, so a degree ranked
+    # for the true basis is not reused for a mutated one
+    assert verify_free_basis("sym", 3, 6).passed
+    assert verify_free_basis("signed", 2, 8).passed
+    for case in [
+        ("sym", 3, 6, "products only span rank 13 of 14 in degree 3"),
+        ("signed", 2, 8, "products only span rank 10 of 11 in degree 4"),
+    ]:
+        with monkeypatch.context() as patch:
+            test_free_basis_with_a_duplicated_element_falls_short_of_full_rank(
+                patch, *case)
+    with monkeypatch.context() as patch:
+        test_free_basis_with_a_shifted_degree_fails_the_hilbert_series(patch)
+    with monkeypatch.context() as patch:
+        test_free_basis_with_a_vanishing_monomial_fails(patch)
+    assert verify_free_basis("sym", 3, 6).passed
+
+
+def test_ideals_of_one_size_keep_their_own_quotients():
+    cases = [("u", ecom_ideal), ("u", bcom_ideal), ("su", bcom_ideal)]
+    for _ in range(2):
+        for family, ideal in cases:
+            assert quotient_graded_dims("sym", 2, ideal(family, 2), 6) == (
+                _closed_form_dims(family, 2, ideal, 6)), (family, ideal)
+        assert quotient_graded_dims("sym", 2, IdealSpec(()), 6) == {
+            d: invariant_graded_dim("sym", 2, d) for d in range(7)}
+
+
+def _ranked(check, max_degree):
+    """The result of ``check(max_degree)`` and the rows of each rank it
+    computed."""
+    with _spy("exact_rank") as calls:
+        result = check(max_degree)
+    return result, [rows for (rows,) in calls]
+
+
+@pytest.mark.parametrize("check, low, high", [
+    (lambda d: verify_free_basis("sym", 3, d), 3, 6),
+    (lambda d: verify_free_basis("signed", 2, d), 4, 8),
+    (lambda d: verify_power_sum_generation("sym", 3, d), 2, 6),
+    (lambda d: verify_power_sum_generation("signed", 2, d), 4, 6),
+    (lambda d: quotient_graded_dims("sym", 3, ecom_ideal("u", 3), d), 5, 9),
+    (lambda d: quotient_graded_dims("signed", 2, bcom_ideal("sp", 2), d), 2, 8),
+], ids=["basis-sym", "basis-signed", "generation-sym", "generation-signed",
+        "quotient-sym", "quotient-signed"])
+def test_each_degree_is_ranked_once(check, low, high):
+    cold, cold_rows = _ranked(check, high)
+    assert len(cold_rows) == high + 1
+    _clear_memos()
+    assert len(_ranked(check, low)[1]) == low + 1
+    # a deeper call ranks only the new degrees, on the rows a cold call
+    # ranks there; signed generation at a higher degree adds generators
+    # that the lower degrees do not use, so it keeps their ranks too
+    warm, rows = _ranked(check, high)
+    assert warm == cold and rows == cold_rows[low + 1:]
+    # a repeated call ranks nothing
+    assert _ranked(check, high) == (cold, [])
+    assert _ranked(check, low) == (check(low), [])
 
 
 def test_power_sum_generation_small_ranks():
