@@ -28,7 +28,7 @@ from .qseries import QPoly, _convolve, _divide_by_factor, exact_div  # noqa: F40
 from .reports import CheckReport
 # ``elements`` is unused here; perfbench/test_perfbench.py asserts that the
 # span wrappers patch this by-name binding, so it stays until that test changes.
-from .weylcomb import elements, pair_statistic_counts  # noqa: F401
+from .weylcomb import _check_enumerable, elements, pair_statistic_counts  # noqa: F401
 
 
 @lru_cache(maxsize=None)
@@ -200,7 +200,11 @@ def verify_fake_degree_identities(n: int) -> CheckReport:
 
     (i)  sum_shapes count * fake = [n]_q!
     (ii) sum_shapes fake^2 = sum_w q^(maj(w) + maj(w^-1))
+
+    Identity (ii) enumerates S_n, so a rank above the enumeration cap raises
+    GroupSizeError before any fake degree is built.
     """
+    _check_enumerable("sym", n)
     failures = []
     if flag_series(n) != q_factorial(n):
         failures.append("flag series != q-factorial")

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from comlie import cli, poincare, toriposet
+from comlie import cli, poincare, repa, toriposet
 from comlie.reports import CheckReport
 
 
@@ -426,6 +426,17 @@ def test_verify_cap_exceeded_exit_code(capsys, suite, family, rank):
     )
     assert code == 3
     assert out == "" and err.startswith("error:")
+
+
+def test_fakedeg_above_the_cap_refuses_before_any_fake_degree(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(repa, "fake_degree",
+                        lambda shape: built.append(shape))
+    code, out, err = run(
+        capsys, ["verify", "--suite", "fakedeg", "--group", "u", "--rank", "30"])
+    assert (code, out, built) == (3, "", [])
+    assert err == ("error: 'sym' enumeration supports 1 <= n <= 9, got n=30; "
+                   "the coinvariants oracle covers larger ranks\n")
 
 
 def test_verify_sp3_default_basis_degree_within_cap(capsys):

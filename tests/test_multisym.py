@@ -25,6 +25,7 @@ from comlie.multisym import (
     verify_power_sum_generation,
 )
 from comlie.poincare import GroupSpec, bcom_series, ecom_numerator
+from comlie.reports import CheckReport
 from comlie.weylcomb import (
     GroupSizeError,
     Permutation,
@@ -621,11 +622,54 @@ def test_quotient_rows_match_expanded_products(kind, n):
 
 
 @pytest.mark.parametrize("kind, n", ROW_CASES)
-def test_generation_rows_match_expanded_products(kind, n):
+def test_power_sum_ideal_has_the_rank_of_the_power_sum_monomials(kind, n):
+    # graded Nakayama: the power sums generate the invariant ring exactly
+    # when their ideal is its whole positive part
     gens = multisym.generation_generators(kind, n, 8)
-    for d in range(9):
-        rows = multisym._generation_rows(kind, n, gens, d)
-        assert rows == _expanded_generation_rows(kind, n, gens, d), (kind, n, d)
+    for d in range(1, 9):
+        dim = len(monomial_orbit_reps(kind, n, d))
+        assert exact_rank(multisym._quotient_rows(kind, n, gens, d)) == dim
+        assert exact_rank(_expanded_generation_rows(kind, n, gens, d)) == dim
+
+
+def _expanded_generation_report(kind, n, gens, max_degree):
+    """The generation report from the ranks of the expanded power-sum
+    monomials, degree by degree."""
+    name = f"power sum generation kind={kind} n={n}"
+    for d in range(max_degree + 1):
+        dim = len(monomial_orbit_reps(kind, n, d))
+        rank = exact_rank(_expanded_generation_rows(kind, n, gens, d))
+        if rank != dim:
+            return CheckReport(name, False,
+                               f"degree {d}: span has rank {rank} of {dim}", d)
+    return CheckReport(name, True, f"spans every degree through {max_degree}")
+
+
+@pytest.mark.parametrize("kind, n", ROW_CASES)
+def test_deficient_generation_reports_match_expanded_monomials(kind, n, monkeypatch):
+    max_degree = 6
+    full = multisym.generation_generators(kind, n, max_degree)
+    deficient = [full[:i] + full[i + 1:] for i in range(len(full))]
+    deficient.append(tuple(g for g in full if g[0] + g[1] <= 2))
+    reports = []
+    for gens in deficient:
+        monkeypatch.setattr(multisym, "generation_generators",
+                            lambda *_, gens=gens: gens)
+        reports.append(verify_power_sum_generation(kind, n, max_degree))
+        assert reports[-1] == _expanded_generation_report(
+            kind, n, gens, max_degree)
+    # the lowest-degree power sums are indecomposable
+    assert reports[0].first_mismatch == sum(full[0])
+
+
+@pytest.mark.parametrize("kind, n, max_degree", [("sym", 3, 6), ("signed", 2, 6)])
+def test_generation_reads_the_memo_of_the_equal_quotient(kind, n, max_degree):
+    gens = multisym.generation_generators(kind, n, max_degree)
+    dims = quotient_graded_dims(kind, n, IdealSpec(gens), max_degree)
+    assert dims == {d: int(d == 0) for d in range(max_degree + 1)}
+    with _spy("exact_rank") as calls:
+        assert verify_power_sum_generation(kind, n, max_degree).passed
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind, n", ROW_CASES)

@@ -2,6 +2,7 @@ from math import factorial
 
 import pytest
 
+from comlie import repa
 from comlie.qseries import QPoly, exact_div
 from comlie.repa import (
     fake_degree,
@@ -16,7 +17,7 @@ from comlie.repa import (
     verify_fake_degree_identities,
 )
 from comlie.poincare import GroupSpec, ecom_numerator
-from comlie.weylcomb import pair_statistic_counts
+from comlie.weylcomb import GroupSizeError, pair_statistic_counts
 from reference import count_standard_tableaux
 
 
@@ -87,6 +88,15 @@ def test_sum_of_squared_dimensions_is_group_order(n):
 def test_identities(n):
     report = verify_fake_degree_identities(n)
     assert report.passed, report.summary()
+
+
+def test_identities_above_the_cap_build_no_fake_degree(monkeypatch):
+    built = []
+    monkeypatch.setattr(repa, "fake_degree",
+                        lambda shape: built.append(shape))
+    with pytest.raises(GroupSizeError, match="got n=30"):
+        verify_fake_degree_identities(30)
+    assert built == []
 
 
 def test_flag_series_small():
